@@ -2,7 +2,9 @@
 //
 // Drives exactly the same JSON-lines protocol as spsta_serviced, but
 // in-process: it builds the request lines a daemon client would send,
-// routes them through the batch scheduler, and prints the response lines.
+// submits them to the daemon's worker pool with one shard (strict FIFO),
+// and prints the response lines. `script` runs the daemon's own connection
+// code over the file (or stdin) and stdout.
 // The service sits on the unified Analyzer API (spsta_api.hpp): each
 // loaded design keeps one Analyzer — and with it one compiled analysis
 // plan — warm across the requests of an invocation.
@@ -22,20 +24,22 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+
 #include "netlist/bench_io.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/hier_bench_io.hpp"
 #include "obs/metrics.hpp"
-#include "service/daemon.hpp"
 #include "service/json.hpp"
+#include "service/runtime.hpp"
 #include "service/service.hpp"
 #include "service/transport/client.hpp"
+#include "service/worker_pool.hpp"
 #include "spsta_api.hpp"
 
 namespace {
 
 using spsta::service::AnalysisService;
-using spsta::service::BatchScheduler;
 using spsta::service::Json;
 using spsta::service::Response;
 namespace transport = spsta::service::transport;
@@ -238,34 +242,46 @@ int main(int argc, char** argv) {
 
   if (mode == "script") {
     if (args.size() != 2) return usage(stderr);
+    const bool from_stdin = args[1] == "-";
+    if (connect_spec.empty()) {
+      // The daemon's own connection code over the script and stdout. One
+      // worker is strict FIFO: a replayed script runs request by request,
+      // in order, path loads included.
+      transport::ScopedFd file;
+      if (!from_stdin) {
+        file.reset(::open(args[1].c_str(), O_RDONLY | O_CLOEXEC));
+        if (!file.valid()) {
+          std::fprintf(stderr, "cannot open %s\n", args[1].c_str());
+          return 1;
+        }
+      }
+      AnalysisService service;
+      spsta::service::Runtime(service, {.workers = 1})
+          .serve_connection(from_stdin ? 0 : file.get(), /*out_fd=*/1);
+      return finish(0);
+    }
     std::ifstream file;
-    std::istream* in = &std::cin;
-    if (args[1] != "-") {
+    if (!from_stdin) {
       file.open(args[1]);
       if (!file) {
         std::fprintf(stderr, "cannot open %s\n", args[1].c_str());
         return 1;
       }
-      in = &file;
     }
-    if (!connect_spec.empty()) {
-      // Socket script: one request per line, replies in order. Overload
-      // retries are transparent — the script sees only final answers.
-      std::string line;
-      while (std::getline(*in, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-        const auto reply = socket_request(client, line, max_retries, retry_stats);
-        if (!reply) {
-          std::fprintf(stderr, "connection lost: %s\n", client.error().c_str());
-          return finish(1);
-        }
-        print_reply(*reply);
+    std::istream& in = from_stdin ? std::cin : file;
+    // Socket script: one request per line, replies in order. Overload
+    // retries are transparent — the script sees only final answers.
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+      const auto reply = socket_request(client, line, max_retries, retry_stats);
+      if (!reply) {
+        std::fprintf(stderr, "connection lost: %s\n", client.error().c_str());
+        return finish(1);
       }
-      client.finish_sending();
-      return finish(0);
+      print_reply(*reply);
     }
-    AnalysisService service;
-    spsta::service::serve(*in, std::cout, service, {});
+    client.finish_sending();
     return finish(0);
   }
 
@@ -421,8 +437,8 @@ int main(int argc, char** argv) {
   }
 
   AnalysisService service;
-  BatchScheduler scheduler(service, 0);
-  const Response loaded = scheduler.run_one(load_request(target).dump());
+  spsta::service::WorkerPool pool(service, {.shards = 1});
+  const Response loaded = pool.submit(load_request(target).dump()).get();
   std::printf("%s\n", loaded.to_line().c_str());
   const std::string session = session_of(loaded);
   if (session.empty()) return finish(1);
@@ -434,7 +450,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "numeric option could not be parsed\n");
     return finish(2);
   }
-  const Response response = scheduler.run_one(req.dump());
+  const Response response = pool.submit(req.dump()).get();
   std::printf("%s\n", response.to_line().c_str());
   return finish(response.ok ? 0 : 1);
 }

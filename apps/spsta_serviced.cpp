@@ -1,14 +1,15 @@
 // spsta_serviced — the long-lived analysis daemon.
 //
-// Speaks the JSON-lines protocol over stdin/stdout: one request per line,
-// one response line per request, in order. Each loaded design is parsed
-// once and held in a unified Analyzer (spsta_api.hpp) whose compiled
-// analysis plan stays warm across requests; repeated analyses are served
-// from the result cache and ECO edits ride the incremental engine.
-// Malformed input yields structured error responses — nothing a client
-// sends kills the daemon.
+// Speaks the JSON-lines protocol over stdin/stdout, or with --listen over
+// TCP connections: one request per line, one response line per request,
+// in order. Every transport runs on the same sharded worker pool
+// (service/runtime.hpp). Each loaded design is parsed once and held in a
+// unified Analyzer (spsta_api.hpp) whose compiled analysis plan stays warm
+// across requests; repeated analyses are served from the result cache and
+// ECO edits ride the incremental engine. Malformed input yields structured
+// error responses — nothing a client sends kills the daemon.
 //
-//   $ spsta_serviced [--threads=N] [--no-batch]
+//   $ spsta_serviced [--workers=N]
 //   {"id":1,"cmd":"load","circuit":"s27"}
 //   {"id":1,"ok":true,"result":{"session":"...","name":"s27",...}}
 //   {"id":2,"cmd":"analyze","session":"...","engine":"spsta_moment"}
@@ -16,11 +17,10 @@
 //   {"id":9,"cmd":"shutdown"}
 
 #include <cstdio>
-#include <iostream>
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "service/daemon.hpp"
+#include "service/runtime.hpp"
 #include "service/transport/server.hpp"
 
 int main(int argc, char** argv) {
@@ -32,9 +32,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--listen=", 0) == 0) {
       listen_spec = arg.substr(9);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = static_cast<unsigned>(std::stoul(arg.substr(10)));
-    } else if (arg.rfind("--workers=", 0) == 0) {
+    } else if (arg.rfind("--workers=", 0) == 0 || arg.rfind("--threads=", 0) == 0) {
+      // Two spellings of one value, both 10 characters long.
       options.workers = static_cast<unsigned>(std::stoul(arg.substr(10)));
     } else if (arg.rfind("--queue-cap=", 0) == 0) {
       options.queue_capacity = std::stoul(arg.substr(12));
@@ -42,8 +41,6 @@ int main(int argc, char** argv) {
       budget.max_sessions = std::stoul(arg.substr(15));
     } else if (arg.rfind("--max-store-mb=", 0) == 0) {
       budget.max_bytes = std::stoul(arg.substr(15)) << 20;
-    } else if (arg == "--no-batch") {
-      options.greedy_batch = false;
     } else if (arg.rfind("--trace=", 0) == 0) {
       options.trace_path = arg.substr(8);
     } else if (arg == "--metrics") {
@@ -57,18 +54,17 @@ int main(int argc, char** argv) {
           "                      connection speaks JSON lines or, after the\n"
           "                      \\0SPF1 magic, length-prefixed binary frames;\n"
           "                      port 0 picks one (printed to stderr)\n"
-          "  --threads=N       scheduler pool size (default: all hardware threads)\n"
-          "  --workers=N       serve through N sharded workers with affinity\n"
-          "                    routing + admission control (default: batch mode)\n"
+          "  --workers=N       N sharded workers with affinity routing and\n"
+          "                    admission control (default: one per hardware\n"
+          "                    thread, at most 16); --threads=N is the same\n"
           "  --queue-cap=N     per-worker bounded queue (default 256); a full\n"
           "                    queue sheds requests with an 'overloaded' error\n"
           "  --max-sessions=N  LRU-evict loaded designs beyond N sessions\n"
           "  --max-store-mb=N  LRU-evict beyond ~N MiB of resident sessions\n"
-          "  --no-batch        one request at a time (no greedy batch draining)\n"
           "  --trace=FILE      append one JSON trace line per request to FILE\n"
           "  --metrics         dump the metrics registry to stderr at exit\n"
           "  --no-metrics      disable metric recording (zero-overhead serving)\n"
-          "Protocol: see DESIGN.md §9; worker pool: §13. Commands: ping load\n"
+          "Protocol: see DESIGN.md §9; runtime: §13. Commands: ping load\n"
           "analyze query set_delay set_source stats unload shutdown\n");
       return 0;
     } else {
@@ -76,10 +72,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-
-  // Unbuffered interplay with pipes: std::cin unties from cout inside
-  // serve() via explicit flushes; keep iostreams fast.
-  std::ios::sync_with_stdio(false);
 
   spsta::service::AnalysisService service;
   service.set_store_budget(budget);
@@ -91,13 +83,9 @@ int main(int argc, char** argv) {
                    listen_spec.c_str());
       return 2;
     }
-    spsta::service::transport::SocketServerOptions socket_options;
-    socket_options.host = spec->host;
-    socket_options.port = spec->port;
-    socket_options.workers = options.workers;
-    socket_options.queue_capacity = options.queue_capacity;
     try {
-      spsta::service::transport::SocketServer server(service, socket_options);
+      spsta::service::transport::SocketServer server(
+          service, {spec->host, spec->port, options});
       const std::uint16_t port = server.listen();
       std::fprintf(stderr, "spsta_serviced: listening on %s:%u\n",
                    spec->host.c_str(), static_cast<unsigned>(port));
@@ -119,12 +107,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const spsta::service::ServeReport report =
-      spsta::service::serve(std::cin, std::cout, service, options);
-  std::fprintf(stderr, "spsta_serviced: served %llu requests in %llu batches (%s)\n",
+  spsta::service::Runtime runtime(service, options);
+  const spsta::service::ConnectionReport report =
+      runtime.serve_connection(/*in_fd=*/0, /*out_fd=*/1);
+  std::fprintf(stderr, "spsta_serviced: served %llu requests (%s)\n",
                static_cast<unsigned long long>(report.requests),
-               static_cast<unsigned long long>(report.batches),
-               report.shutdown ? "shutdown" : "eof");
+               service.shutdown_requested() ? "shutdown" : "eof");
   if (dump_metrics) {
     std::fprintf(stderr, "%s\n", spsta::service::metrics_json().dump().c_str());
   }

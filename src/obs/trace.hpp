@@ -2,8 +2,8 @@
 /// Per-request trace log: one JSON line per served request, appended to a
 /// file the operator names (`spsta_serviced --trace=FILE`). Each event
 /// carries the request's trace id (also echoed in the response envelope),
-/// the command, outcome, and the span breakdown the scheduler and serve
-/// loop measured: queue wait, execute, serialize.
+/// the command, outcome, and the span breakdown the worker pool and the
+/// connection writer measured: queue wait, execute, serialize.
 ///
 /// The writer is deliberately independent of the service's Json type (the
 /// obs layer sits below everything) and formats numbers with
@@ -31,7 +31,7 @@ struct TraceEvent {
 };
 
 /// Append-only JSON-lines trace sink. Thread-safe; write() under a mutex
-/// so concurrent scheduler threads never interleave lines. A TraceLog
+/// so concurrent connection writers never interleave lines. A TraceLog
 /// that failed to open is inert (ok() == false, write() drops events).
 class TraceLog {
  public:

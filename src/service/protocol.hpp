@@ -8,7 +8,7 @@
 ///    "params": {"threads": 4}, "deadline_ms": 250}
 ///
 /// `id` (number or string) is echoed verbatim; `deadline_ms` is a
-/// relative deadline from enqueue, enforced by the batch scheduler.
+/// relative deadline from enqueue, enforced by the worker pool.
 /// Responses are {"id":..,"ok":true,"result":{..}} or
 /// {"id":..,"ok":false,"error":{"code":"..","message":".."}} — a
 /// malformed request yields an error response, never a dead daemon.
@@ -61,14 +61,14 @@ struct Request {
   std::string cmd;
   Json body;                ///< the whole request object
   double deadline_ms = -1;  ///< relative deadline; < 0 means none
-  /// Deadline origin. parse_request stamps "now"; the scheduler / worker
-  /// pool overwrite it with the wire-arrival time so queue wait counts
-  /// against the deadline.
+  /// Deadline origin. parse_request stamps "now"; the worker pool
+  /// overwrites it with the wire-arrival time so queue wait counts against
+  /// the deadline.
   std::chrono::steady_clock::time_point enqueued = std::chrono::steady_clock::now();
   /// True when the request arrived on a binary-frame connection
   /// (DESIGN.md §15): handlers may move bulk f64 payloads into
   /// Response::waveforms instead of inlining them as JSON arrays. Set by
-  /// the socket transport only; stdio and batch paths leave it false.
+  /// the runtime for connections that negotiated binary frames.
   bool binary_frames = false;
 
   /// Milliseconds since `enqueued`.
@@ -85,8 +85,8 @@ struct Request {
   }
 };
 
-/// Per-request observability span, filled by the batch scheduler. Not
-/// part of any cache key — purely descriptive, never result-affecting.
+/// Per-request observability span, filled by the worker pool. Not part of
+/// any cache key — purely descriptive, never result-affecting.
 struct RequestSpan {
   std::uint64_t trace_id = 0;  ///< 0 = unassigned (direct execute path)
   std::string cmd;             ///< command ("" for envelope errors)
@@ -123,11 +123,5 @@ struct Response {
 /// Response when the line is not a valid request envelope (invalid JSON,
 /// not an object, missing/empty cmd, bad id or deadline type).
 [[nodiscard]] std::variant<Request, Response> parse_request(std::string_view line);
-
-/// True for commands that mutate service state (load, set_delay,
-/// set_source, unload, shutdown): the batch scheduler runs these as
-/// barriers, never concurrently with other requests. Read-only commands
-/// (analyze, query, stats, ping) and unknown commands are parallel-safe.
-[[nodiscard]] bool is_mutating_command(std::string_view cmd) noexcept;
 
 }  // namespace spsta::service

@@ -10,10 +10,9 @@
 /// Read-only commands (analyze, query, stats, ping) serialize same-session
 /// work on the per-session mutex; load/unload go through the session
 /// store's latch (compiles happen outside the store lock, DESIGN.md §13),
-/// and set_delay/set_source take the session mutex like reads. The batch
-/// scheduler still runs mutating commands as barriers for deterministic
-/// batch semantics; the sharded worker pool relies on per-shard FIFO plus
-/// this internal locking instead.
+/// and set_delay/set_source take the session mutex like reads. The worker
+/// pool relies on per-shard FIFO plus this internal locking; no command is
+/// a barrier.
 
 #pragma once
 

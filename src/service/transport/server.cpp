@@ -1,9 +1,5 @@
 #include "service/transport/server.hpp"
 
-#include <condition_variable>
-#include <cstring>
-#include <deque>
-#include <future>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -12,7 +8,6 @@
 #include <sys/socket.h>
 
 #include "obs/metrics.hpp"
-#include "service/frame.hpp"
 
 namespace spsta::service::transport {
 
@@ -22,48 +17,19 @@ namespace {
 /// served on another thread is noticed.
 constexpr int kAcceptPollMs = 50;
 
-/// Read chunk. Small enough to keep per-connection memory modest, large
-/// enough that bulk frame payloads stream in few syscalls.
-constexpr std::size_t kReadChunk = 64 * 1024;
-
-bool blank_line(std::string_view line) {
-  for (const char c : line) {
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  }
-  return true;
-}
-
-/// An already-resolved response as a future, so synthesized errors (bad
-/// frames, oversized lines) slot into the in-order reorder deque like any
-/// pooled response.
-std::future<Response> ready_response(Response response) {
-  std::promise<Response> promise;
-  promise.set_value(std::move(response));
-  return promise.get_future();
-}
-
 }  // namespace
 
-/// Per-connection state. The reader thread owns the receive side and the
-/// negotiated mode; `mutex` guards the reorder deque and the eof/dead
-/// flags shared with the writer thread.
+/// One accepted socket and the thread reading it (Runtime::serve_connection).
+/// `mutex` orders the drain path's shut_read against that thread closing
+/// the fd — without it a shutdown() could land on a recycled descriptor
+/// number.
 struct SocketServer::Connection {
   ScopedFd fd;
-  bool frame_mode = false;  ///< written by the reader before the writer starts
-
   std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<std::future<Response>> pending;
-  bool eof = false;   ///< reader submitted its last request
-  bool dead = false;  ///< write failed; responses are drained, not written
+  std::thread reader;             ///< joined by reap_connections
+  std::atomic<bool> done{false};  ///< served, drained and closed
 
-  std::thread reader;              ///< joined by reap_connections
-  std::atomic<bool> done{false};   ///< reader (and writer) fully finished
-
-  /// Stops the receive side so a blocked read returns: used by the writer
-  /// on write failure and by the graceful drain. Takes the mutex because
-  /// the drain path races the reader thread closing its own fd — without
-  /// it a shutdown() could land on a recycled descriptor number.
+  /// Stops the receive side so a blocked read returns (graceful drain).
   void shut_read() {
     const std::lock_guard<std::mutex> lock(mutex);
     if (fd.valid()) ::shutdown(fd.get(), SHUT_RD);
@@ -71,13 +37,7 @@ struct SocketServer::Connection {
 };
 
 SocketServer::SocketServer(AnalysisService& service, SocketServerOptions options)
-    : service_(service),
-      options_(std::move(options)),
-      pool_(service, {options_.workers, options_.queue_capacity}) {
-  max_pending_ = options_.max_pending != 0
-                     ? options_.max_pending
-                     : 2 * pool_.shards() * pool_.queue_capacity() + 64;
-}
+    : service_(service), options_(std::move(options)), runtime_(service, options_.serve) {}
 
 SocketServer::~SocketServer() {
   stop();
@@ -94,7 +54,7 @@ std::uint16_t SocketServer::listen() {
   return port_;
 }
 
-void SocketServer::stop() { stop_.store(true, std::memory_order_release); }
+void SocketServer::stop() { runtime_.stop(); }
 
 void SocketServer::reap_connections(bool all) {
   std::vector<std::shared_ptr<Connection>> joinable;
@@ -118,7 +78,7 @@ void SocketServer::reap_connections(bool all) {
 }
 
 SocketServerReport SocketServer::serve() {
-  while (!stop_.load(std::memory_order_acquire) && !service_.shutdown_requested()) {
+  while (!runtime_.stopping()) {
     pollfd pfd{listen_fd_.get(), POLLIN, 0};
     const int rc = ::poll(&pfd, 1, kAcceptPollMs);
     if (rc < 0) {
@@ -143,190 +103,19 @@ SocketServerReport SocketServer::serve() {
   // already-submitted request is answered before connections close.
   listen_fd_.reset();
   reap_connections(/*all=*/true);
-  pool_.drain();
+  runtime_.pool().drain();
   return {connections_.load(std::memory_order_relaxed),
           frame_connections_.load(std::memory_order_relaxed),
           requests_.load(std::memory_order_relaxed),
           service_.shutdown_requested()};
 }
 
-void SocketServer::write_loop(const std::shared_ptr<Connection>& conn) {
-  obs::LatencyHistogram& serialize_hist =
-      obs::registry().histogram("service.serialize");
-  for (;;) {
-    std::future<Response> next;
-    {
-      std::unique_lock<std::mutex> lock(conn->mutex);
-      conn->cv.wait(lock, [&] { return !conn->pending.empty() || conn->eof; });
-      if (conn->pending.empty()) return;  // eof and fully drained
-      next = std::move(conn->pending.front());
-      conn->pending.pop_front();
-      conn->cv.notify_all();  // reader may be blocked on backpressure
-    }
-    // Block outside the lock: the response completes in shard order, the
-    // deque order preserves the connection's submission order.
-    const Response response = next.get();
-    {
-      const std::lock_guard<std::mutex> lock(conn->mutex);
-      if (conn->dead) continue;  // drain without writing
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    std::string wire;
-    if (conn->frame_mode) {
-      append_frame(wire, FrameKind::Json, response.to_line());
-      for (const std::vector<double>& waveform : response.waveforms) {
-        append_waveform_frame(wire, waveform);
-      }
-    } else {
-      wire = response.to_line();
-      wire.push_back('\n');
-    }
-    const bool wrote = write_all(conn->fd.get(), wire.data(), wire.size());
-    serialize_hist.record_ns(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-    if (!wrote) {
-      // The client is gone or unwritable: shed exactly this connection.
-      // Remaining futures are drained (their work still completes and
-      // resolves the pool's inflight accounting) but nothing is written.
-      obs::registry().counter("service.transport.client_write_errors").add();
-      {
-        const std::lock_guard<std::mutex> lock(conn->mutex);
-        conn->dead = true;
-        conn->cv.notify_all();
-      }
-      conn->shut_read();  // locks the mutex itself
-    }
-  }
-}
-
 void SocketServer::serve_connection(const std::shared_ptr<Connection>& conn) {
-  std::thread writer([this, conn] { write_loop(conn); });
-
-  /// Enqueues one response-to-be in submission order, honoring the
-  /// reorder-deque bound (write backpressure: a full deque pauses reads).
-  const auto enqueue = [&](std::future<Response> future) {
-    std::unique_lock<std::mutex> lock(conn->mutex);
-    conn->cv.wait(lock, [&] {
-      return conn->pending.size() < max_pending_ || conn->dead;
-    });
-    if (conn->dead) return false;
-    conn->pending.push_back(std::move(future));
-    conn->cv.notify_all();
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  };
-  const auto enqueue_bad_request = [&](const std::string& message) {
-    return enqueue(ready_response(
-        Response::failure(Json(), ErrorCode::BadRequest, message)));
-  };
-
-  std::string buffer;
-  bool negotiated = false;
-  bool line_discarding = false;  ///< inside an over-cap line, pre-newline
-  FrameDecoder decoder;
-  std::vector<char> chunk(kReadChunk);
-
-  for (;;) {
-    const ssize_t n = read_some(conn->fd.get(), chunk.data(), chunk.size());
-    if (n <= 0) break;  // EOF or error: stop reading, drain writes below
-    std::string_view bytes(chunk.data(), static_cast<std::size_t>(n));
-
-    if (!negotiated) {
-      buffer.append(bytes);
-      if (buffer.front() == kFrameMagic[0]) {
-        if (buffer.size() < sizeof(kFrameMagic)) continue;  // magic incomplete
-        if (std::memcmp(buffer.data(), kFrameMagic, sizeof(kFrameMagic)) != 0) {
-          enqueue_bad_request("unrecognized connection magic");
-          break;
-        }
-        conn->frame_mode = true;
-        frame_connections_.fetch_add(1, std::memory_order_relaxed);
-        decoder.feed(std::string_view(buffer).substr(sizeof(kFrameMagic)));
-        buffer.clear();
-      }
-      negotiated = true;
-      bytes = {};  // already buffered / fed
-    }
-
-    bool conn_dead = false;
-    if (conn->frame_mode) {
-      decoder.feed(bytes);
-      Frame frame;
-      for (;;) {
-        const FrameDecoder::Status status = decoder.next(frame);
-        if (status == FrameDecoder::Status::NeedMore) break;
-        if (status == FrameDecoder::Status::BadFrame) {
-          // Malformed frame: structured answer, connection stays up (the
-          // length prefix kept the stream in sync).
-          if (!enqueue_bad_request(decoder.error())) conn_dead = true;
-        } else if (frame.kind == FrameKind::Waveform) {
-          if (!enqueue_bad_request(
-                  "unexpected waveform frame (requests are JSON frames)")) {
-            conn_dead = true;
-          }
-        } else {
-          if (!enqueue(pool_.submit(std::move(frame.payload),
-                                    std::chrono::steady_clock::now(),
-                                    /*binary_frames=*/true))) {
-            conn_dead = true;
-          }
-        }
-        if (conn_dead) break;
-      }
-    } else {
-      if (!bytes.empty()) buffer.append(bytes);
-      std::size_t start = 0;
-      for (;;) {
-        const std::size_t nl = buffer.find('\n', start);
-        if (nl == std::string::npos) break;
-        std::string_view line(buffer.data() + start, nl - start);
-        start = nl + 1;
-        if (line_discarding) {
-          line_discarding = false;  // tail of an already-rejected line
-          continue;
-        }
-        if (blank_line(line)) continue;
-        if (!enqueue(pool_.submit(std::string(line),
-                                  std::chrono::steady_clock::now(),
-                                  /*binary_frames=*/false))) {
-          conn_dead = true;
-          break;
-        }
-      }
-      buffer.erase(0, start);
-      // Cap enforcement before the newline arrives: a partial line beyond
-      // kMaxRequestBytes is rejected now and discarded as it streams in,
-      // so a runaway client cannot balloon the connection buffer.
-      if (!line_discarding && buffer.size() > kMaxRequestBytes) {
-        if (!enqueue_bad_request(
-                "request line exceeds the " + std::to_string(kMaxRequestBytes) +
-                " byte limit")) {
-          conn_dead = true;
-        }
-        buffer.clear();
-        line_discarding = true;
-      } else if (line_discarding) {
-        buffer.clear();
-      }
-    }
-    if (conn_dead) break;
-    // Stop reading new requests once a shutdown was served; queued work
-    // still drains through the writer.
-    if (service_.shutdown_requested() || stop_.load(std::memory_order_acquire)) {
-      break;
-    }
-  }
-
+  const ConnectionReport report =
+      runtime_.serve_connection(conn->fd.get(), conn->fd.get());
+  requests_.fetch_add(report.requests, std::memory_order_relaxed);
+  if (report.frame_mode) frame_connections_.fetch_add(1, std::memory_order_relaxed);
   {
-    const std::lock_guard<std::mutex> lock(conn->mutex);
-    conn->eof = true;
-    conn->cv.notify_all();
-  }
-  writer.join();
-  {
-    // Under the mutex: the drain path's shut_read may be inspecting the fd.
     const std::lock_guard<std::mutex> lock(conn->mutex);
     conn->fd.reset();
   }

@@ -1,32 +1,19 @@
 /// \file server.hpp
-/// Multi-connection socket front end of the analysis service (ROADMAP
-/// item 1, DESIGN.md §15): a TCP listener in front of WorkerPool::submit.
+/// Multi-connection socket front end of the analysis service
+/// (DESIGN.md §15): a TCP listener in front of the serving runtime.
 ///
-/// Every connection gets a reader and a writer thread; all connections
-/// share ONE sharded worker pool, so the affinity routing, bounded queues
-/// and admission control of DESIGN.md §13 apply across clients exactly as
-/// they do within one stdio stream. Per connection:
+/// Every accepted socket is one connection of a shared Runtime
+/// (runtime.hpp): the same reader, writer, ordering, backpressure, line
+/// cap, shutdown/EOF contract and trace lines as stdio, on ONE sharded
+/// worker pool, so the affinity routing, bounded queues and admission
+/// control of DESIGN.md §13 apply across clients. On top of that the server
+/// owns:
 ///
-///   * the protocol mode is negotiated from the first bytes: the 5-byte
-///     kFrameMagic switches to length-prefixed binary frames (frame.hpp),
-///     anything else is plain JSON lines — one daemon serves both kinds
-///     of client at once;
-///   * responses are written strictly in that connection's submission
-///     order (the serve_pooled future-deque pattern), even though shards
-///     complete out of order;
-///   * backpressure is end-to-end: the reorder deque is bounded, a full
-///     deque stops the reader, a full socket send buffer blocks the
-///     writer — a slow client throttles only itself;
-///   * oversized lines/frames are rejected from the header alone (the
-///     8 MiB kMaxRequestBytes cap holds BEFORE any payload allocation)
-///     with a structured `bad_request`, and malformed frames never kill
-///     the daemon;
-///   * a vanished client (write error, EOF mid-frame) sheds only its own
-///     connection: its in-flight requests still execute, their responses
-///     are discarded, every other connection is untouched;
-///   * shutdown (a `shutdown` request or stop()) is a graceful drain:
-///     the listener closes, reads stop, every already-submitted request
-///     is answered, then connections close.
+///   * the poll-based accept loop and one thread per connection;
+///   * the negotiated-mode count (binary frames vs JSON lines);
+///   * graceful shutdown (a `shutdown` request or stop()): the listener
+///     closes, reads stop, every already-submitted request is answered,
+///     then connections close.
 
 #pragma once
 
@@ -37,20 +24,16 @@
 #include <string>
 #include <vector>
 
+#include "service/runtime.hpp"
 #include "service/service.hpp"
 #include "service/transport/socket.hpp"
-#include "service/worker_pool.hpp"
 
 namespace spsta::service::transport {
 
 struct SocketServerOptions {
   std::string host = "127.0.0.1";
-  std::uint16_t port = 0;            ///< 0 = ephemeral (see SocketServer::port)
-  unsigned workers = 0;              ///< pool shards (0 = hardware)
-  std::size_t queue_capacity = 256;  ///< per-shard bounded queue
-  /// Per-connection reorder-deque bound (0 = 2 * shards * queue_capacity
-  /// + 64, the serve_pooled backstop).
-  std::size_t max_pending = 0;
+  std::uint16_t port = 0;  ///< 0 = ephemeral (see SocketServer::port)
+  ServeOptions serve{};    ///< pool and trace settings, as for stdio
 };
 
 struct SocketServerReport {
@@ -81,25 +64,22 @@ class SocketServer {
   void stop();
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
-  [[nodiscard]] const WorkerPool& pool() const noexcept { return pool_; }
-  [[nodiscard]] WorkerPool& pool() noexcept { return pool_; }
+  [[nodiscard]] const WorkerPool& pool() const noexcept { return runtime_.pool(); }
+  [[nodiscard]] WorkerPool& pool() noexcept { return runtime_.pool(); }
 
  private:
   struct Connection;
 
   void serve_connection(const std::shared_ptr<Connection>& conn);
-  void write_loop(const std::shared_ptr<Connection>& conn);
   /// Joins finished connection threads; \p all also joins live ones
   /// (after shutting their reads down for a graceful drain).
   void reap_connections(bool all);
 
   AnalysisService& service_;
   SocketServerOptions options_;
-  WorkerPool pool_;
-  std::size_t max_pending_ = 0;
+  Runtime runtime_;
   ScopedFd listen_fd_;
   std::uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
 
   std::mutex conns_mutex_;
   std::vector<std::shared_ptr<Connection>> conns_;

@@ -16,12 +16,6 @@ namespace spsta::service::transport {
 
 namespace {
 
-#ifdef MSG_NOSIGNAL
-constexpr int kSendFlags = MSG_NOSIGNAL;
-#else
-constexpr int kSendFlags = 0;
-#endif
-
 std::string errno_string(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
@@ -159,7 +153,7 @@ ScopedFd tcp_connect(const std::string& host, std::uint16_t port,
 bool write_all(int fd, const void* data, std::size_t size) {
   const char* p = static_cast<const char*>(data);
   while (size > 0) {
-    const ssize_t n = ::send(fd, p, size, kSendFlags);
+    const ssize_t n = ::write(fd, p, size);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -172,7 +166,7 @@ bool write_all(int fd, const void* data, std::size_t size) {
 
 ssize_t read_some(int fd, void* buffer, std::size_t size) {
   for (;;) {
-    const ssize_t n = ::recv(fd, buffer, size, 0);
+    const ssize_t n = ::read(fd, buffer, size);
     if (n < 0 && errno == EINTR) continue;
     return n;
   }

@@ -1,9 +1,9 @@
 /// \file socket.hpp
-/// Minimal POSIX TCP plumbing shared by the socket server, the socket
+/// Minimal POSIX plumbing shared by the serving runtime, the socket
 /// client and the load harness (DESIGN.md §15). Everything here is
 /// robustness-first: partial reads/writes are handled, EINTR is retried,
-/// SIGPIPE is never raised (writes use MSG_NOSIGNAL and ignore_sigpipe()
-/// is belt-and-braces for platforms without it), and every failure is
+/// SIGPIPE is ignored process-wide (ignore_sigpipe(), installed by
+/// tcp_listen, tcp_connect and the Runtime), and every failure is
 /// reported as a value, not an exception — a vanished peer is a normal
 /// event for a server.
 
@@ -68,11 +68,13 @@ class ScopedFd {
 [[nodiscard]] ScopedFd tcp_connect(const std::string& host, std::uint16_t port,
                                    std::string* error);
 
-/// Writes all of \p data, looping over partial writes. False on any
-/// unrecoverable error (EPIPE, ECONNRESET, ...).
+/// Writes all of \p data with write(2) — sockets, pipes and files alike —
+/// looping over partial writes. False on any unrecoverable error (EPIPE,
+/// ECONNRESET, ...).
 [[nodiscard]] bool write_all(int fd, const void* data, std::size_t size);
 
-/// One read(2) with EINTR retry. >0 bytes, 0 on orderly EOF, -1 on error.
+/// One read(2) with EINTR retry (sockets, pipes and files alike). >0
+/// bytes, 0 on orderly EOF, -1 on error.
 [[nodiscard]] ssize_t read_some(int fd, void* buffer, std::size_t size);
 
 }  // namespace spsta::service::transport

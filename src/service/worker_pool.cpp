@@ -120,8 +120,9 @@ void WorkerPool::update_depth_gauge() const {
 
 std::future<Response> WorkerPool::submit(
     std::string line, std::chrono::steady_clock::time_point enqueued,
-    bool binary_frames) {
+    bool binary_frames, bool* shutdown) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
+  if (shutdown != nullptr) *shutdown = false;
   std::promise<Response> promise;
   std::future<Response> future = promise.get_future();
   const std::uint64_t trace_id =
@@ -181,6 +182,8 @@ std::future<Response> WorkerPool::submit(
       promise.set_value(std::move(r));
       return future;
     }
+    // Only a queued shutdown will run: a shed one leaves the caller reading.
+    if (shutdown != nullptr) *shutdown = request.cmd == "shutdown";
     shard.queue.push_back(Job{std::move(request), std::move(promise), trace_id});
     total_depth_.fetch_add(1, std::memory_order_relaxed);
     inflight_.fetch_add(1, std::memory_order_relaxed);
@@ -188,6 +191,16 @@ std::future<Response> WorkerPool::submit(
   }
   update_depth_gauge();
   return future;
+}
+
+std::future<Response> WorkerPool::reject(ErrorCode code, const std::string& message) {
+  submitted_.fetch_add(1, std::memory_order_relaxed);
+  parse_errors_.fetch_add(1, std::memory_order_relaxed);
+  Response r = Response::failure(Json(), code, message);
+  r.span = {trace_seq_.fetch_add(1, std::memory_order_relaxed) + 1, "", 0.0, 0.0};
+  std::promise<Response> promise;
+  promise.set_value(std::move(r));
+  return promise.get_future();
 }
 
 void WorkerPool::worker_loop(Shard& shard) {

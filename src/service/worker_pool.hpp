@@ -1,11 +1,8 @@
 /// \file worker_pool.hpp
-/// The scaled service runtime: a sharded worker pool with session-affinity
-/// routing, bounded per-shard queues and admission control (ROADMAP item 1,
-/// DESIGN.md §13).
-///
-/// Where the BatchScheduler optimizes one client's scripted batch for
-/// deterministic output order, the WorkerPool optimizes many concurrent
-/// clients for throughput under an explicit overload policy:
+/// The execution core of the serving runtime (DESIGN.md §13): a sharded
+/// worker pool with session-affinity routing, bounded per-shard queues and
+/// admission control. Every transport submits here — stdio, sockets and
+/// the in-process client alike:
 ///
 ///   * N shards, each one worker thread plus a bounded FIFO queue;
 ///   * routing is by *content hash*: a request naming a session routes on
@@ -24,8 +21,10 @@
 ///   * a `service.pool.queue_depth` gauge tracks total queued requests.
 ///
 /// Responses complete out of order across shards; submit() returns a
-/// future per request and the daemon writes completions back in
-/// submission order, preserving the protocol's ordering contract.
+/// future per request and each connection writes completions back in
+/// submission order (runtime.hpp), preserving the protocol's ordering
+/// contract. One shard is strict FIFO: requests execute in submission
+/// order, one at a time.
 /// Commands with no routing key (ping, stats, shutdown) spread
 /// round-robin.
 
@@ -69,7 +68,7 @@ struct WorkerPoolStats {
   std::uint64_t executed = 0;           ///< requests a worker ran
   std::uint64_t rejected_overload = 0;  ///< shed by admission control
   std::uint64_t deadline_shed = 0;      ///< shed at dequeue (stale)
-  std::uint64_t parse_errors = 0;       ///< answered at submit (bad envelope)
+  std::uint64_t parse_errors = 0;       ///< bad envelope at submit, or reject()
   std::uint64_t shutdown_shed = 0;      ///< answered at submit while stopping
 
   /// Outcomes accounted so far; equals `submitted` once the pool is idle.
@@ -94,11 +93,19 @@ class WorkerPool {
   /// resolves the future immediately. \p enqueued is the deadline origin.
   /// \p binary_frames marks requests from binary-frame connections
   /// (DESIGN.md §15): handlers may then return bulk payloads as
-  /// Response::waveforms sidecars.
+  /// Response::waveforms sidecars. \p shutdown, when given, is set to
+  /// whether the line is a `shutdown` request that was queued: a connection
+  /// reads nothing after one. A shed shutdown never runs, so it is false.
   [[nodiscard]] std::future<Response> submit(
       std::string line,
       std::chrono::steady_clock::time_point enqueued = std::chrono::steady_clock::now(),
-      bool binary_frames = false);
+      bool binary_frames = false, bool* shutdown = nullptr);
+
+  /// Answers, at once, a request a connection rejected before it had a line
+  /// to submit (an oversized line, a malformed frame). It takes the next
+  /// trace id and counts as submitted and as a parse error, like a bad
+  /// envelope, so trace ids stay sequential with one per response.
+  [[nodiscard]] std::future<Response> reject(ErrorCode code, const std::string& message);
 
   /// Blocks until every queue is empty and no worker is mid-request.
   void drain();

@@ -4,6 +4,7 @@
 // load → analyze → ECO → re-query session whose incremental answer is
 // bit-identical to a fresh full analysis of the edited design.
 
+#include <future>
 #include <limits>
 #include <string>
 #include <vector>
@@ -16,8 +17,8 @@
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
 #include "service/protocol.hpp"
-#include "service/scheduler.hpp"
 #include "service/service.hpp"
+#include "service/worker_pool.hpp"
 
 namespace spsta::service {
 namespace {
@@ -63,15 +64,6 @@ TEST(ServiceProtocol, RequestEnvelopeValidation) {
     auto parsed = parse_request(line);
     ASSERT_TRUE(std::holds_alternative<Response>(parsed)) << line;
     EXPECT_FALSE(std::get<Response>(parsed).ok) << line;
-  }
-}
-
-TEST(ServiceProtocol, MutatingCommandTable) {
-  for (const char* cmd : {"load", "set_delay", "set_source", "unload", "shutdown"}) {
-    EXPECT_TRUE(is_mutating_command(cmd)) << cmd;
-  }
-  for (const char* cmd : {"ping", "analyze", "query", "stats", "nonsense"}) {
-    EXPECT_FALSE(is_mutating_command(cmd)) << cmd;
   }
 }
 
@@ -433,27 +425,25 @@ TEST(ServiceProtocol, NonFiniteResponseBodyDegradesToStructuredError) {
   }
 }
 
-TEST(ServiceProtocol, SchedulerAssignsSequentialTraceIds) {
+TEST(ServiceProtocol, PoolAssignsSequentialTraceIds) {
   AnalysisService service;
-  BatchScheduler scheduler(service, 2);
-  const Response first = scheduler.run_one(R"({"id":1,"cmd":"ping"})");
-  const Response second = scheduler.run_one(R"({"id":2,"cmd":"ping"})");
+  WorkerPool pool(service, {.shards = 2, .queue_capacity = 16});
+  const Response first = pool.submit(R"({"id":1,"cmd":"ping"})").get();
+  const Response second = pool.submit(R"({"id":2,"cmd":"ping"})").get();
   EXPECT_EQ(first.span.trace_id, 1u);
   EXPECT_EQ(second.span.trace_id, 2u);
   EXPECT_EQ(first.span.cmd, "ping");
   EXPECT_GE(first.span.execute_ms, 0.0);
   EXPECT_NE(first.to_line().find(R"("trace_id":"t-1")"), std::string::npos);
 
-  // Batch order is request order, whatever the pool interleaving did.
-  std::vector<Incoming> batch;
-  for (int i = 0; i < 8; ++i) batch.push_back(Incoming{R"({"cmd":"ping"})"});
-  const std::vector<Response> responses = scheduler.run(batch);
-  ASSERT_EQ(responses.size(), 8u);
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    EXPECT_EQ(responses[i].span.trace_id, 3 + i);
+  // Ids follow submission order, whichever shard finishes first.
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 8; ++i) futures.push_back(pool.submit(R"({"cmd":"ping"})"));
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get().span.trace_id, 3 + i);
   }
 
-  // The direct (unscheduled) execute path carries no trace id — and no
+  // The direct (unpooled) execute path carries no trace id — and no
   // "trace_id" key on the wire.
   const Response direct = service.execute_line(R"({"cmd":"ping"})");
   EXPECT_EQ(direct.span.trace_id, 0u);

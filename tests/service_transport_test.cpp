@@ -1,9 +1,12 @@
 // Tests for the socket transport (ROADMAP item 1, DESIGN.md §15): the
 // multi-connection listener in front of the sharded worker pool, JSON
 // lines and length-prefixed binary frames side by side, the 8 MiB cap on
-// the wire, per-connection shedding, graceful shutdown, and the
-// acceptance bar for the binary waveform path — an n=8192-grid density
-// fetched as a raw f64 frame must equal the JSON-lines answer bit for bit.
+// the wire, per-connection shedding, and the acceptance bar for the
+// binary waveform path — an n=8192-grid density fetched as a raw f64
+// frame must equal the JSON-lines answer bit for bit.
+// The connection contract shared with stdio (ordering, shutdown drain,
+// EOF, blank and oversized lines, trace) is ServiceConnection in
+// service_worker_pool_test.cpp, run over both transports.
 
 #include <atomic>
 #include <cstring>
@@ -26,8 +29,8 @@ namespace {
 /// A listening server on an ephemeral loopback port plus its serve thread.
 class ServerFixture {
  public:
-  explicit ServerFixture(SocketServerOptions options = {.workers = 2,
-                                                        .queue_capacity = 64})
+  explicit ServerFixture(SocketServerOptions options = {
+                             .serve = {.workers = 2, .queue_capacity = 64}})
       : server_(service_, options) {
     port_ = server_.listen();
     thread_ = std::thread([this] { report_ = server_.serve(); });
@@ -240,25 +243,6 @@ TEST(ServiceTransport, DensityOverBinaryFramesMatchesJsonBitForBit) {
   }
 }
 
-TEST(ServiceTransport, OversizedLineGetsBadRequestAndConnectionSurvives) {
-  ServerFixture fixture;
-  SocketClient client;
-  ASSERT_TRUE(client.connect("127.0.0.1", fixture.port(), false));
-  // A line beyond kMaxRequestBytes: rejected while it streams in, answered
-  // with bad_request, and the connection keeps serving afterwards.
-  std::string huge = R"({"id":1,"cmd":"ping","pad":")";
-  huge.append(kMaxRequestBytes, 'x');
-  huge += "\"}";
-  ASSERT_TRUE(client.send(huge));
-  auto reply = client.recv();
-  ASSERT_TRUE(reply.has_value()) << client.error();
-  EXPECT_EQ(error_code_of(reply->line), "bad_request") << reply->line;
-
-  auto pong = request(client, R"({"id":2,"cmd":"ping"})");
-  ASSERT_TRUE(pong.has_value()) << client.error();
-  EXPECT_TRUE(response_ok(pong->line));
-}
-
 TEST(ServiceTransport, OversizedFrameGetsBadRequestAndConnectionSurvives) {
   ServerFixture fixture;
   SocketClient client;
@@ -370,7 +354,7 @@ TEST(ServiceTransport, EofMidFrameDropsOnlyThatConnection) {
 }
 
 TEST(ServiceTransport, ConcurrentConnectionsHammerOneSessionKey) {
-  ServerFixture fixture({.workers = 4, .queue_capacity = 128});
+  ServerFixture fixture({.serve = {.workers = 4, .queue_capacity = 128}});
   // All connections load the same circuit (one shared session/plan) and
   // analyze it concurrently: exercises the cross-connection path through
   // one shard plus the session-store latch. TSan must stay green here.
@@ -405,29 +389,6 @@ TEST(ServiceTransport, ConcurrentConnectionsHammerOneSessionKey) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-}
-
-TEST(ServiceTransport, ShutdownRequestDrainsAndStopsTheServer) {
-  ServerFixture fixture;
-  SocketClient client;
-  ASSERT_TRUE(client.connect("127.0.0.1", fixture.port(), false));
-  // Queue work, then shutdown: every submitted request is answered before
-  // the server stops.
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(client.send(R"({"id":)" + std::to_string(i) +
-                            R"(,"cmd":"load","circuit":"s1196"})"));
-  }
-  ASSERT_TRUE(client.send(R"({"id":99,"cmd":"shutdown"})"));
-  for (int i = 0; i < 8; ++i) {
-    auto reply = client.recv();
-    ASSERT_TRUE(reply.has_value()) << i << ": " << client.error();
-    EXPECT_TRUE(response_ok(reply->line)) << reply->line;
-  }
-  auto last = client.recv();
-  ASSERT_TRUE(last.has_value());
-  EXPECT_TRUE(response_ok(last->line)) << last->line;
-  fixture.stop();
-  EXPECT_TRUE(fixture.report().shutdown);
 }
 
 }  // namespace
