@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/compiled_design.hpp"
 #include "core/incremental_spsta.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas89.hpp"
@@ -172,7 +173,8 @@ int main(int argc, char** argv) {
     }
 
     // --- Single-edit loop: one cone walk (and one endpoint read) per edit.
-    IncrementalSpsta single(design, unit, sc, /*settle_eps=*/0.0);
+    core::CompiledDesign single_plan(design, unit);
+    IncrementalSpsta single(single_plan, sc, /*settle_eps=*/0.0);
     single.set_threads(threads);
     const double t_single = seconds([&] {
       for (std::size_t i = 0; i < edits.size(); ++i) {
@@ -187,7 +189,8 @@ int main(int argc, char** argv) {
         static_cast<double>(single.nodes_reevaluated()) / static_cast<double>(num_edits);
 
     // --- Transactional batches: K edits merge into one frontier, one wave.
-    IncrementalSpsta batched(design, unit, sc, /*settle_eps=*/0.0);
+    core::CompiledDesign batched_plan(design, unit);
+    IncrementalSpsta batched(batched_plan, sc, /*settle_eps=*/0.0);
     batched.set_threads(threads);
     const double t_batched = seconds([&] {
       for (std::size_t start = 0; start < edits.size(); start += batch) {
@@ -213,11 +216,13 @@ int main(int argc, char** argv) {
     // bitwise (settle_eps == 0).
     netlist::DelayModel final_delays = unit;
     for (const auto& e : edits) final_delays.set_delay(e.node, e.delay);
-    IncrementalSpsta fresh(design, final_delays, sc, /*settle_eps=*/0.0);
+    core::CompiledDesign fresh_plan(design, final_delays);
+    IncrementalSpsta fresh(fresh_plan, sc, /*settle_eps=*/0.0);
     row.identical = same_state(single.flush(), fresh.flush()) &&
                     same_state(batched.flush(), fresh.flush());
     for (const unsigned t : {2u, 8u}) {
-      IncrementalSpsta mt(design, unit, sc, /*settle_eps=*/0.0);
+      core::CompiledDesign mt_plan(design, unit);
+      IncrementalSpsta mt(mt_plan, sc, /*settle_eps=*/0.0);
       mt.set_threads(t);
       for (std::size_t start = 0; start < edits.size(); start += batch) {
         const std::size_t end = std::min(edits.size(), start + batch);
@@ -244,7 +249,8 @@ int main(int argc, char** argv) {
           stats::Gaussian{rng.uniform(0.5, 2.0), 0.0}));
     }
 
-    IncrementalSpsta prober(design, unit, sc, /*settle_eps=*/0.0);
+    core::CompiledDesign prober_plan(design, unit);
+    IncrementalSpsta prober(prober_plan, sc, /*settle_eps=*/0.0);
     prober.set_threads(threads);
     const std::vector<core::NodeTop> before = prober.flush();  // copy
 
@@ -278,7 +284,8 @@ int main(int argc, char** argv) {
     // Probes must leave the engine bitwise untouched.
     row.identical = row.identical && same_state(prober.flush(), before);
 
-    IncrementalSpsta reverter(design, unit, sc, /*settle_eps=*/0.0);
+    core::CompiledDesign reverter_plan(design, unit);
+    IncrementalSpsta reverter(reverter_plan, sc, /*settle_eps=*/0.0);
     reverter.set_threads(threads);
     const std::uint64_t reeval_before_revert = reverter.nodes_reevaluated();
     const double t_revert = seconds([&] {

@@ -47,12 +47,12 @@ void mix_gaussian(std::uint64_t& h, const stats::Gaussian& g) {
 }  // namespace
 
 CompiledDesign::CompiledDesign(const netlist::Netlist& design,
-                               const netlist::DelayModel& delays)
-    : design_(&design), delays_(delays), levels_(netlist::levelize(design)) {
-  if (delays.size() != design.node_count()) {
+                               netlist::DelayModel delays)
+    : design_(&design), delays_(std::move(delays)), levels_(netlist::levelize(design)) {
+  if (delays_.size() != design.node_count()) {
     throw std::invalid_argument(
         "CompiledDesign: delay model sized for a different netlist (" +
-        std::to_string(delays.size()) + " delays, " +
+        std::to_string(delays_.size()) + " delays, " +
         std::to_string(design.node_count()) + " nodes)");
   }
   const std::size_t n = design.node_count();
@@ -93,37 +93,56 @@ CompiledDesign::CompiledDesign(const netlist::Netlist& design,
 
   timing_sources_ = design.timing_sources();
   timing_endpoints_ = design.timing_endpoints();
+}
 
-  // Structural delay-span products the numeric engine's grid choice needs.
-  // One forward longest-path DP replaces the per-endpoint critical_paths
-  // scan the legacy engine ran; the recurrence (arrival = max fanin
-  // arrival + mean delay) is the same one critical_path_to evaluates, so
-  // the resulting maximum is bit-identical to the legacy value.
-  {
-    constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-    const std::vector<double> means = delays_.means();
-    std::vector<double> arrival(n, kNegInf);
-    for (NodeId id : levels_.order) {
-      if (combinational_[id] == 0 || fanins(id).empty()) {
-        arrival[id] = 0.0;  // sources and constants
-        continue;
-      }
-      double best = kNegInf;
-      for (NodeId f : fanins(id)) best = std::max(best, arrival[f]);
-      arrival[id] = best + means[id];
-    }
-    for (NodeId id : timing_endpoints_) {
-      const double d = arrival[id] == kNegInf ? 0.0 : arrival[id];
-      structural_delay_ = std::max(structural_delay_, d);
-    }
+void CompiledDesign::set_delay(NodeId id, const stats::Gaussian& delay) {
+  if (id >= node_count()) {
+    throw std::invalid_argument("CompiledDesign::set_delay: bad node id " +
+                                std::to_string(id));
   }
-  for (NodeId id = 0; id < n; ++id) {
-    max_delay_stddev_ = std::max(max_delay_stddev_, delays_.delay(id).stddev());
-  }
+  delays_.set_delay(id, delay);
+  ++delay_epoch_;
+  const std::lock_guard<std::mutex> lock(kernel_mutex_);
+  kernel_cache_.clear();
+}
 
-  // Content hash: netlist structure (names, types, wiring, output/DFF
-  // markings) plus the observable delay assignment. Field tags keep
-  // adjacent variable-length sections from aliasing.
+double CompiledDesign::structural_delay() const {
+  // One forward longest-path DP in place of a per-endpoint critical_paths
+  // scan; the recurrence (arrival = max fanin arrival + mean delay) is the
+  // one critical_path_to evaluates, so the maximum is bit-identical.
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  const std::vector<double> means = delays_.means();
+  std::vector<double> arrival(node_count(), kNegInf);
+  for (NodeId id : levels_.order) {
+    if (combinational_[id] == 0 || fanins(id).empty()) {
+      arrival[id] = 0.0;  // sources and constants
+      continue;
+    }
+    double best = kNegInf;
+    for (NodeId f : fanins(id)) best = std::max(best, arrival[f]);
+    arrival[id] = best + means[id];
+  }
+  double worst = 0.0;
+  for (NodeId id : timing_endpoints_) {
+    worst = std::max(worst, arrival[id] == kNegInf ? 0.0 : arrival[id]);
+  }
+  return worst;
+}
+
+double CompiledDesign::max_delay_stddev() const {
+  double worst = 0.0;
+  for (NodeId id = 0; id < node_count(); ++id) {
+    worst = std::max(worst, delays_.delay(id).stddev());
+  }
+  return worst;
+}
+
+std::uint64_t CompiledDesign::content_hash() const {
+  // Netlist structure (names, types, wiring, output/DFF markings) plus the
+  // observable delay assignment. Field tags keep adjacent variable-length
+  // sections from aliasing.
+  const netlist::Netlist& design = *design_;
+  const std::size_t n = node_count();
   std::uint64_t h = kFnvOffset;
   mix(h, n);
   for (NodeId id = 0; id < n; ++id) {
@@ -144,15 +163,15 @@ CompiledDesign::CompiledDesign(const netlist::Netlist& design,
     mix_gaussian(h, delays_.delay(id, true));
     mix_gaussian(h, delays_.delay(id, false));
   }
-  content_hash_ = h;
+  return h;
 }
 
 stats::GridSpec CompiledDesign::grid_for(
     std::span<const netlist::SourceStats> source_stats,
     const SpstaOptions& options) const {
   // Mirrors the legacy numeric engine's choose_grid exactly (expression
-  // for expression) with the structural scan replaced by the precomputed
-  // structural_delay_ / max_delay_stddev_ / depth products.
+  // for expression) with the structural scan replaced by the
+  // structural_delay() / max_delay_stddev() / depth products.
   double lo = 0.0, hi = 0.0;
   bool first = true;
   for (const netlist::SourceStats& st : source_stats) {
@@ -170,8 +189,8 @@ stats::GridSpec CompiledDesign::grid_for(
       }
     }
   }
-  hi += structural_delay_ + options.grid_pad_sigma * max_delay_stddev_ *
-                                std::sqrt(double(levels_.depth) + 1.0);
+  hi += structural_delay() + options.grid_pad_sigma * max_delay_stddev() *
+                                 std::sqrt(double(levels_.depth) + 1.0);
 
   double dt = options.grid_dt > 0.0 ? options.grid_dt : 0.05;
   // Degenerate span (a single deterministic arrival and zero structural

@@ -4,23 +4,28 @@
 /// every subsequent run — the amortization layer behind the `Analyzer`
 /// facade (spsta_api.hpp) and the service session store.
 ///
-/// A `CompiledDesign` is immutable after construction and safe to share
-/// across threads; its only mutable component, the switch-pattern cache,
-/// is internally synchronized and keyed on exact probability bit patterns,
-/// so a cache hit is bit-identical to a recomputation no matter which run
-/// populated the entry. It carries:
+/// A `CompiledDesign` is an immutable topology plus the one mutable delay
+/// model of an analysis. The topology never changes after construction:
 ///
 ///  * the levelization with per-level node ranges laid out contiguously
 ///    (one flat array + offsets — the unit of level-parallel dispatch),
 ///  * structure-of-arrays fanin/fanout adjacency (flat index + offset
 ///    arrays instead of chasing per-node `std::vector`s),
 ///  * cached timing sources / endpoints and per-node combinational flags,
-///  * the structural delay span products the numeric engine's grid choice
-///    needs (critical-path delay, worst per-gate delay sigma, depth),
 ///  * a shared `PatternCache` that persists across runs, subsuming the
-///    per-run warm-up the engines used to pay, and
-///  * a content hash over the netlist structure and delay assignment,
-///    compatible with the service's session/result cache keys.
+///    per-run warm-up the engines used to pay (it is keyed on fanin
+///    probabilities, never on delays).
+///
+/// The delay model is the only delay state an analysis has: `Analyzer`
+/// and `IncrementalSpsta` both read and edit it here. `set_delay` patches
+/// it in place, bumps `delay_epoch()` and drops the precomputed delay
+/// kernels; nothing topological is rebuilt. The delay-derived products —
+/// the numeric grid's structural delay span and the content hash — are
+/// computed on read, so they can never go stale.
+///
+/// Thread model: concurrent runs over one plan are safe (the pattern and
+/// kernel caches are internally synchronized, and cached entries are
+/// bit-identical to recomputation). `set_delay` must not race a run.
 ///
 /// Every engine gains a `run_*(const CompiledDesign&, ...)` overload that
 /// skips all structural work; the legacy `(Netlist, DelayModel, ...)`
@@ -75,18 +80,28 @@ struct DelayKernelSet {
   }
 };
 
-/// Immutable per-(netlist, delay model) analysis plan.
+/// Per-(netlist, delay model) analysis plan: immutable topology, one
+/// mutable delay model.
 ///
 /// Lifetime: holds a reference to \p design (which must outlive the plan)
-/// and a private copy of \p delays (so later edits to the caller's model
-/// cannot silently invalidate the precomputed delay-span products).
+/// and owns its delay model.
 class CompiledDesign {
  public:
-  CompiledDesign(const netlist::Netlist& design, const netlist::DelayModel& delays);
+  CompiledDesign(const netlist::Netlist& design, netlist::DelayModel delays);
 
   [[nodiscard]] const netlist::Netlist& design() const noexcept { return *design_; }
   [[nodiscard]] const netlist::DelayModel& delays() const noexcept { return delays_; }
   [[nodiscard]] std::size_t node_count() const noexcept { return combinational_.size(); }
+
+  /// Sets one node's common delay (clearing its per-direction overrides,
+  /// as DelayModel::set_delay does), bumps delay_epoch() and drops the
+  /// precomputed delay kernels. Topology, adjacency and the pattern cache
+  /// are untouched. Throws std::invalid_argument for a bad id. Must not
+  /// race a run over this plan.
+  void set_delay(netlist::NodeId id, const stats::Gaussian& delay);
+  /// Number of set_delay calls so far — lets a reader that caches
+  /// delay-derived state (IncrementalSpsta) detect edits it did not make.
+  [[nodiscard]] std::uint64_t delay_epoch() const noexcept { return delay_epoch_; }
 
   // -- Levelization ---------------------------------------------------
   /// All nodes in topological order (the legacy Levelization view, kept
@@ -132,13 +147,15 @@ class CompiledDesign {
 
   // -- Structural delay-span products (numeric engine grid) ------------
   /// Worst-case structural delay under mean gate delays (the longest
-  /// endpoint path).
-  [[nodiscard]] double structural_delay() const noexcept { return structural_delay_; }
-  /// Largest per-gate delay standard deviation in the model.
-  [[nodiscard]] double max_delay_stddev() const noexcept { return max_delay_stddev_; }
+  /// endpoint path). Computed on read: one O(nodes + edges) DP.
+  [[nodiscard]] double structural_delay() const;
+  /// Largest per-gate delay standard deviation in the model. Computed on
+  /// read.
+  [[nodiscard]] double max_delay_stddev() const;
   /// The numeric-engine grid for the given sources and options — the same
   /// arithmetic the legacy engine performed per run, with the structural
-  /// scan amortized into compile time. Bit-identical to the legacy choice.
+  /// scan done over the plan's adjacency. Bit-identical to the legacy
+  /// choice.
   [[nodiscard]] stats::GridSpec grid_for(
       std::span<const netlist::SourceStats> source_stats,
       const SpstaOptions& options) const;
@@ -159,7 +176,7 @@ class CompiledDesign {
   /// synchronized, and shared — a kernel is a pure function of
   /// (delay, dt), so cached and freshly built kernels are bit-identical.
   /// The cache keeps the most recent `kMaxKernelSets` keys; outstanding
-  /// shared_ptrs stay valid after eviction.
+  /// shared_ptrs stay valid after eviction, and set_delay empties it.
   [[nodiscard]] std::shared_ptr<const DelayKernelSet> delay_kernels(
       double dt, std::size_t grid_n = 0) const;
 
@@ -174,7 +191,8 @@ class CompiledDesign {
   /// inputs hash equal across runs and platforms; any netlist or delay
   /// change produces a different hash (modulo 64-bit collisions) — the
   /// key the service session store files plans and results under.
-  [[nodiscard]] std::uint64_t content_hash() const noexcept { return content_hash_; }
+  /// Computed on read.
+  [[nodiscard]] std::uint64_t content_hash() const;
 
   /// Throws std::invalid_argument unless \p source_stats has exactly one
   /// entry (broadcast) or one per timing source — the shared precondition
@@ -200,9 +218,7 @@ class CompiledDesign {
   std::vector<netlist::NodeId> timing_sources_;
   std::vector<netlist::NodeId> timing_endpoints_;
 
-  double structural_delay_ = 0.0;
-  double max_delay_stddev_ = 0.0;
-  std::uint64_t content_hash_ = 0;
+  std::uint64_t delay_epoch_ = 0;
 
   mutable PatternCache pattern_cache_{PatternCache::kExactKeys};
 

@@ -40,6 +40,14 @@ bool nearly_equal(const NodeTop& a, const NodeTop& b, double eps) {
          nearly_equal(a.fall, b.fall, eps);
 }
 
+/// The one no-op rule of set_delay and probe: setting the common delay
+/// \p delay (which clears per-direction overrides) changes nothing only
+/// when neither direction's effective delay moves beyond \p eps.
+bool delay_moves(const stats::Gaussian& rise, const stats::Gaussian& fall,
+                 const stats::Gaussian& delay, double eps) {
+  return !nearly_equal(rise, delay, eps) || !nearly_equal(fall, delay, eps);
+}
+
 NodeTop source_top(const netlist::SourceStats& st) {
   NodeTop top;
   top.probs = st.probs.normalized();
@@ -63,42 +71,15 @@ constexpr std::size_t kParallelGrain = 8;
 
 }  // namespace
 
-IncrementalSpsta::IncrementalSpsta(const netlist::Netlist& design,
-                                   netlist::DelayModel delays,
+IncrementalSpsta::IncrementalSpsta(CompiledDesign& plan,
                                    std::span<const netlist::SourceStats> source_stats,
                                    double settle_eps)
-    : IncrementalSpsta(design, std::move(delays), netlist::levelize(design),
-                       source_stats, settle_eps) {}
-
-IncrementalSpsta::IncrementalSpsta(const CompiledDesign& plan,
-                                   std::span<const netlist::SourceStats> source_stats,
-                                   double settle_eps)
-    : IncrementalSpsta(plan.design(), plan.delays(), plan.levelization(),
-                       source_stats, settle_eps) {}
-
-IncrementalSpsta::IncrementalSpsta(const netlist::Netlist& design,
-                                   netlist::DelayModel delays,
-                                   const netlist::Levelization& levels,
-                                   std::span<const netlist::SourceStats> source_stats,
-                                   double settle_eps)
-    : design_(design), delays_(std::move(delays)),
-      sources_(design_.timing_sources()), settle_eps_(settle_eps) {
-  if (source_stats.size() != sources_.size() && source_stats.size() != 1) {
-    throw std::invalid_argument("IncrementalSpsta: source stats count mismatch");
-  }
+    : plan_(plan), plan_epoch_(plan.delay_epoch()), settle_eps_(settle_eps) {
   if (!(settle_eps_ >= 0.0)) {
     throw std::invalid_argument("IncrementalSpsta: settle_eps must be >= 0");
   }
-  frontier_.reset(narrow_levels(levels.level));
-  state_.assign(design_.node_count(), NodeTop{});
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
-    state_[sources_[i]] =
-        source_top(source_stats.size() == 1 ? source_stats[0] : source_stats[i]);
-  }
-  for (NodeId id : levels.order) {
-    if (!netlist::is_combinational(design_.node(id).type)) continue;
-    state_[id] = propagate_node_top(design_, id, state_, delays_, &pattern_cache_);
-  }
+  state_ = run_spsta_moment(plan_, source_stats).node;
+  frontier_.reset(narrow_levels(plan_.levelization().level));
 }
 
 void IncrementalSpsta::require_no_txn(const char* what) const {
@@ -108,11 +89,18 @@ void IncrementalSpsta::require_no_txn(const char* what) const {
   }
 }
 
+void IncrementalSpsta::require_in_sync(const char* what) const {
+  if (plan_.delay_epoch() != plan_epoch_) {
+    throw std::logic_error(std::string("IncrementalSpsta::") + what +
+                           ": the plan's delays were edited outside this engine");
+  }
+}
+
 void IncrementalSpsta::mark_dirty(NodeId id) { (void)frontier_.mark(id); }
 
 void IncrementalSpsta::mark_fanouts(NodeId id, const std::vector<char>* mask) {
-  for (NodeId fo : design_.node(id).fanouts) {
-    if (!netlist::is_combinational(design_.node(fo).type)) continue;
+  for (NodeId fo : plan_.fanouts(id)) {
+    if (!plan_.combinational(fo)) continue;
     if (mask != nullptr && (*mask)[fo] == 0) continue;
     mark_dirty(fo);
   }
@@ -123,8 +111,8 @@ void IncrementalSpsta::apply_source(NodeId src, const netlist::SourceStats& stat
 }
 
 IncrementalSpsta::CommitStats IncrementalSpsta::propagate_wave(
-    const std::vector<char>* mask,
-    std::vector<std::pair<NodeId, NodeTop>>* undo_tops) {
+    const std::vector<char>* mask, std::vector<std::pair<NodeId, NodeTop>>* undo_tops,
+    const DelayOverlay& overlay) {
   static obs::Counter& cone_counter = obs::registry().counter("incremental.cone_size");
   static obs::Counter& settled_counter =
       obs::registry().counter("incremental.settled_early");
@@ -153,7 +141,14 @@ IncrementalSpsta::CommitStats IncrementalSpsta::propagate_wave(
     // scratch slot — the result is schedule-independent.
     const auto eval = [&](std::size_t k) {
       const NodeId id = wave_ids_[k];
-      wave_tops_[k] = propagate_node_top(design_, id, state_, delays_, &pattern_cache_);
+      const auto edited = std::lower_bound(
+          overlay.begin(), overlay.end(), id,
+          [](const auto& entry, NodeId node) { return entry.first < node; });
+      const bool probed = edited != overlay.end() && edited->first == id;
+      wave_tops_[k] = propagate_node_top(
+          plan_, id, state_, probed ? edited->second : plan_.delays().delay(id, true),
+          probed ? edited->second : plan_.delays().delay(id, false),
+          &plan_.pattern_cache());
       wave_changed_[k] = nearly_equal(wave_tops_[k], state_[id], settle_eps_) ? 0 : 1;
     };
     if (pool_ != nullptr && threads_ > 1 && n >= kParallelGrain) {
@@ -186,39 +181,46 @@ IncrementalSpsta::CommitStats IncrementalSpsta::propagate_wave(
 
 void IncrementalSpsta::propagate_dirty() {
   if (!frontier_.any()) return;
-  (void)propagate_wave(nullptr, nullptr);
+  (void)propagate_wave(nullptr, nullptr, {});
 }
 
 const NodeTop& IncrementalSpsta::node(NodeId id) {
   require_no_txn("node");
+  require_in_sync("node");
   propagate_dirty();
   return state_.at(id);
 }
 
 const std::vector<NodeTop>& IncrementalSpsta::flush() {
   require_no_txn("flush");
+  require_in_sync("flush");
   propagate_dirty();
   return state_;
 }
 
 void IncrementalSpsta::set_delay(NodeId id, const stats::Gaussian& delay) {
-  if (id >= design_.node_count()) {
+  if (id >= plan_.node_count()) {
     throw std::invalid_argument("IncrementalSpsta::set_delay: bad node id");
   }
-  if (nearly_equal(delays_.delay(id), delay, settle_eps_)) return;
-  delays_.set_delay(id, delay);
-  ++epoch_;
-  if (netlist::is_combinational(design_.node(id).type)) mark_dirty(id);
+  const netlist::DelayModel& delays = plan_.delays();
+  const bool moved =
+      delay_moves(delays.delay(id, true), delays.delay(id, false), delay, settle_eps_);
+  // The owner is always written, so the plan and this engine never
+  // disagree about a delay — only whether the gate re-evaluates depends
+  // on the no-op rule.
+  plan_.set_delay(id, delay);
+  ++plan_epoch_;
+  if (moved && plan_.combinational(id)) mark_dirty(id);
 }
 
 void IncrementalSpsta::set_source_stats(std::size_t source_index,
                                         const netlist::SourceStats& stats) {
-  if (source_index >= sources_.size()) {
+  const std::span<const NodeId> sources = plan_.timing_sources();
+  if (source_index >= sources.size()) {
     throw std::invalid_argument("IncrementalSpsta::set_source_stats: bad index");
   }
-  const NodeId src = sources_[source_index];
+  const NodeId src = sources[source_index];
   apply_source(src, stats);
-  ++epoch_;
   mark_fanouts(src, nullptr);
 }
 
@@ -232,15 +234,16 @@ IncrementalSpsta::CommitStats IncrementalSpsta::commit() {
     throw std::logic_error("IncrementalSpsta::commit: no open transaction");
   }
   in_txn_ = false;
+  require_in_sync("commit");
   static obs::Counter& commits = obs::registry().counter("incremental.commits");
   commits.add();
-  return propagate_wave(nullptr, nullptr);
+  return propagate_wave(nullptr, nullptr, {});
 }
 
 const std::vector<char>& IncrementalSpsta::target_mask(
     std::span<const NodeId> targets) {
   for (const NodeId t : targets) {
-    if (t >= design_.node_count()) {
+    if (t >= plan_.node_count()) {
       throw std::invalid_argument("IncrementalSpsta::probe: bad target node id");
     }
   }
@@ -255,14 +258,14 @@ const std::vector<char>& IncrementalSpsta::target_mask(
   // change any target, so the probe wave skips them entirely.
   MaskEntry entry;
   entry.targets.assign(targets.begin(), targets.end());
-  entry.mask.assign(design_.node_count(), 0);
+  entry.mask.assign(plan_.node_count(), 0);
   std::vector<NodeId> stack(targets.begin(), targets.end());
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
     if (entry.mask[id] != 0) continue;
     entry.mask[id] = 1;
-    for (const NodeId fi : design_.node(id).fanins) stack.push_back(fi);
+    for (const NodeId fi : plan_.fanins(id)) stack.push_back(fi);
   }
   if (mask_cache_.size() >= kMaxMaskEntries) mask_cache_.erase(mask_cache_.begin());
   mask_cache_.push_back(std::move(entry));
@@ -272,6 +275,7 @@ const std::vector<char>& IncrementalSpsta::target_mask(
 IncrementalSpsta::ProbeResult IncrementalSpsta::probe(
     std::span<const EcoEdit> edits, std::span<const NodeId> targets) {
   require_no_txn("probe");
+  require_in_sync("probe");
   // The probe baseline is the settled committed state: flush pending lazy
   // edits first so the undo log only ever carries probe-local changes.
   propagate_dirty();
@@ -280,61 +284,65 @@ IncrementalSpsta::ProbeResult IncrementalSpsta::probe(
   static obs::Counter& probes = obs::registry().counter("incremental.probes");
   probes.add();
 
-  // Apply the edit batch, journaling everything the revert needs. Delay
-  // records keep all three DelayModel slots because set_delay clears
-  // per-direction overrides.
-  std::vector<UndoDelay> undo_delays;
-  std::vector<std::pair<NodeId, NodeTop>> undo_tops;
+  // Validate the whole batch first, so a bad edit leaves nothing behind.
+  const std::span<const NodeId> sources = plan_.timing_sources();
   for (const EcoEdit& edit : edits) {
-    if (edit.kind == EcoEdit::Kind::kDelay) {
-      const NodeId id = edit.node;
-      if (id >= design_.node_count()) {
-        throw std::invalid_argument("IncrementalSpsta::probe: bad node id");
-      }
-      // Same no-op rule as set_delay, so probe(edits) answers exactly what
-      // commit(edits)-then-query would.
-      if (nearly_equal(delays_.delay(id), edit.delay, settle_eps_)) continue;
-      UndoDelay undo;
-      undo.node = id;
-      undo.common = delays_.delay(id);
-      undo.directional = delays_.is_directional(id);
-      if (undo.directional) {
-        undo.rise = delays_.delay(id, /*rising=*/true);
-        undo.fall = delays_.delay(id, /*rising=*/false);
-      }
-      undo_delays.push_back(undo);
-      delays_.set_delay(id, edit.delay);
-      if (netlist::is_combinational(design_.node(id).type) && mask[id] != 0) {
-        mark_dirty(id);
-      }
-    } else {
-      if (edit.source_index >= sources_.size()) {
-        throw std::invalid_argument("IncrementalSpsta::probe: bad source index");
-      }
-      const NodeId src = sources_[edit.source_index];
-      undo_tops.emplace_back(src, state_[src]);
-      apply_source(src, edit.source);
-      mark_fanouts(src, &mask);
+    if (edit.kind == EcoEdit::Kind::kDelay && edit.node >= plan_.node_count()) {
+      throw std::invalid_argument("IncrementalSpsta::probe: bad node id");
+    }
+    if (edit.kind == EcoEdit::Kind::kSource && edit.source_index >= sources.size()) {
+      throw std::invalid_argument("IncrementalSpsta::probe: bad source index");
     }
   }
 
+  // Delay edits go into the overlay, never into the plan. A stable sort
+  // keeps each node's edits in batch order, so set_delay's no-op rule runs
+  // along each node's chain of edits and probe(edits) answers exactly what
+  // commit(edits)-then-query would; the last edit per node is kept.
+  DelayOverlay overlay;
+  for (const EcoEdit& edit : edits) {
+    if (edit.kind == EcoEdit::Kind::kDelay) overlay.emplace_back(edit.node, edit.delay);
+  }
+  std::stable_sort(overlay.begin(), overlay.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t i = 0; i < overlay.size(); ++i) {
+    const NodeId id = overlay[i].first;
+    const bool chained = i > 0 && overlay[i - 1].first == id;
+    if (delay_moves(chained ? overlay[i - 1].second : plan_.delays().delay(id, true),
+                    chained ? overlay[i - 1].second : plan_.delays().delay(id, false),
+                    overlay[i].second, settle_eps_) &&
+        plan_.combinational(id) && mask[id] != 0) {
+      mark_dirty(id);
+    }
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < overlay.size(); ++i) {
+    if (i + 1 == overlay.size() || overlay[i + 1].first != overlay[i].first) {
+      overlay[kept++] = overlay[i];
+    }
+  }
+  overlay.resize(kept);
+
+  // Source edits overwrite state, journaled for the revert.
+  std::vector<std::pair<NodeId, NodeTop>> undo_tops;
+  for (const EcoEdit& edit : edits) {
+    if (edit.kind != EcoEdit::Kind::kSource) continue;
+    const NodeId src = sources[edit.source_index];
+    undo_tops.emplace_back(src, state_[src]);
+    apply_source(src, edit.source);
+    mark_fanouts(src, &mask);
+  }
+
   ProbeResult result;
-  result.stats = propagate_wave(&mask, &undo_tops);
+  result.stats = propagate_wave(&mask, &undo_tops, overlay);
   result.tops.reserve(targets.size());
   for (const NodeId t : targets) result.tops.push_back(state_[t]);
 
   // Revert: restore overwritten tops newest-first (a node edited twice
-  // lands on its oldest snapshot), then the delay slots. The frontier
-  // drained inside the wave, so no marks survive the probe.
+  // lands on its oldest snapshot). The frontier drained inside the wave,
+  // so no marks survive the probe.
   for (auto it = undo_tops.rbegin(); it != undo_tops.rend(); ++it) {
     state_[it->first] = it->second;
-  }
-  for (auto it = undo_delays.rbegin(); it != undo_delays.rend(); ++it) {
-    delays_.set_delay(it->node, it->common);
-    if (it->directional) {
-      delays_.set_rise_delay(it->node, it->rise);
-      delays_.set_fall_delay(it->node, it->fall);
-    }
   }
   return result;
 }

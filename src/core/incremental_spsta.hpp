@@ -13,7 +13,9 @@
 ///     into one merged dirty frontier and a single propagation wave;
 ///   * what-if probes — probe(edits, targets) answers "what would these
 ///     arrivals be under those edits" against a backward-cone-restricted
-///     wave and an O(cone) undo log, leaving state and delays bitwise
+///     wave: the probe's delays sit in a read-only overlay the wave
+///     consults before the plan, and an O(cone) undo log restores the
+///     overwritten states, so the plan and the state stay bitwise
 ///     untouched;
 ///   * level-parallel propagation — set_threads(n) evaluates each dirty
 ///     level through util::ThreadPool with settle votes merged in
@@ -27,10 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/pattern_cache.hpp"
 #include "core/spsta.hpp"
-#include "netlist/delay_model.hpp"
-#include "netlist/levelize.hpp"
 #include "util/dirty_frontier.hpp"
 #include "util/thread_pool.hpp"
 
@@ -38,7 +37,9 @@ namespace spsta::core {
 
 class CompiledDesign;
 
-/// Incremental SPSTA session over a fixed netlist topology.
+/// Incremental SPSTA session over a compiled plan. The plan is the one
+/// owner of the delays: set_delay writes through to it, and the engine
+/// keeps only the per-node state derived from them.
 class IncrementalSpsta {
  public:
   /// Default settle tolerance: propagation past a recomputed node stops
@@ -86,18 +87,19 @@ class IncrementalSpsta {
     CommitStats stats;
   };
 
-  /// Runs the initial full analysis. \p settle_eps controls early
-  /// stopping: 0 demands exact (bitwise) settlement, making every update
-  /// sequence bit-identical to a fresh full run — the mode the analysis
-  /// service uses so ECO re-queries match cold re-analysis exactly.
-  IncrementalSpsta(const netlist::Netlist& design, netlist::DelayModel delays,
-                   std::span<const netlist::SourceStats> source_stats,
-                   double settle_eps = kDefaultSettleEps);
-
-  /// Same, seeded from a precompiled plan: reuses the plan's levelization
-  /// and delay model instead of re-deriving them. The session keeps
-  /// referencing the plan's netlist, which must outlive it.
-  IncrementalSpsta(const CompiledDesign& plan,
+  /// Runs the initial full analysis (run_spsta_moment over \p plan — the
+  /// same kernel and pattern cache every later wave uses). \p settle_eps
+  /// controls early stopping: 0 demands exact (bitwise) settlement, making
+  /// every update sequence bit-identical to a fresh full run — the mode
+  /// the analysis service uses so ECO re-queries match cold re-analysis
+  /// exactly.
+  ///
+  /// The engine keeps a reference to \p plan, which must outlive it. Delay
+  /// edits to the plan must go through this engine: once the plan's
+  /// delay_epoch() moves by a write the engine did not make, every read
+  /// (node / flush / probe / commit) throws std::logic_error instead of
+  /// answering from state the edit made stale.
+  IncrementalSpsta(CompiledDesign& plan,
                    std::span<const netlist::SourceStats> source_stats,
                    double settle_eps = kDefaultSettleEps);
 
@@ -108,9 +110,12 @@ class IncrementalSpsta {
   /// Throws std::logic_error while a transaction is open.
   [[nodiscard]] const std::vector<NodeTop>& flush();
 
-  /// Changes one gate's delay distribution; dirties its fanout cone.
-  /// Inside a transaction the edit joins the batched frontier; outside it
-  /// stays a lazy single edit (propagated on the next read).
+  /// Changes one gate's delay distribution in the plan (clearing any
+  /// per-direction override, as CompiledDesign::set_delay does). The gate
+  /// is re-evaluated unless neither direction's effective delay moved
+  /// beyond settle_eps. Inside a transaction the edit joins the batched
+  /// frontier; outside it stays a lazy single edit (propagated on the
+  /// next read).
   void set_delay(netlist::NodeId id, const stats::Gaussian& delay);
   /// Changes one timing source's statistics (probabilities and arrivals);
   /// dirties its fanout cone. Index follows design.timing_sources().
@@ -127,12 +132,14 @@ class IncrementalSpsta {
   /// True between begin_eco() and commit().
   [[nodiscard]] bool in_transaction() const noexcept { return in_txn_; }
 
-  /// What-if mode: applies \p edits, propagates only the part of the dirty
-  /// cone that can reach \p targets (their backward closure), reads the
-  /// targets, then reverts everything from an O(cone) undo log — state,
-  /// delays and epoch are bitwise unchanged afterwards. Requires no open
-  /// transaction; pending lazy edits are flushed first so the probe
-  /// baseline is the committed state.
+  /// What-if mode: evaluates \p edits, propagating only the part of the
+  /// dirty cone that can reach \p targets (their backward closure), reads
+  /// the targets, then restores the state from an O(cone) undo log. The
+  /// edits' delays are held in a local overlay and never written to the
+  /// plan, so the plan (delays, delay_epoch, kernels) and the state are
+  /// bitwise unchanged afterwards. Requires no open transaction; pending
+  /// lazy edits are flushed first so the probe baseline is the committed
+  /// state.
   [[nodiscard]] ProbeResult probe(std::span<const EcoEdit> edits,
                                   std::span<const netlist::NodeId> targets);
 
@@ -141,11 +148,6 @@ class IncrementalSpsta {
   /// threads.
   void set_threads(unsigned threads);
   [[nodiscard]] unsigned threads() const noexcept { return threads_; }
-
-  /// Monotone edit epoch: bumped by every state-changing edit (set_delay /
-  /// set_source_stats, inside or outside transactions). Probes never bump
-  /// it. Endpoint query caches key on this.
-  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
   /// Nodes re-evaluated by updates since construction (probes included).
   [[nodiscard]] std::uint64_t nodes_reevaluated() const noexcept {
@@ -161,42 +163,34 @@ class IncrementalSpsta {
   [[nodiscard]] double settle_eps() const noexcept { return settle_eps_; }
 
  private:
-  IncrementalSpsta(const netlist::Netlist& design, netlist::DelayModel delays,
-                   const netlist::Levelization& levels,
-                   std::span<const netlist::SourceStats> source_stats,
-                   double settle_eps);
-
-  /// Undo-log record for a probe's delay edits. DelayModel::set_delay
-  /// clears per-direction overrides, so revert restores all three slots.
-  struct UndoDelay {
-    netlist::NodeId node = 0;
-    stats::Gaussian common;
-    stats::Gaussian rise;
-    stats::Gaussian fall;
-    bool directional = false;
-  };
+  /// A probe's delay edits, one per node (last edit wins), sorted by node.
+  using DelayOverlay = std::vector<std::pair<netlist::NodeId, stats::Gaussian>>;
 
   void require_no_txn(const char* what) const;
+  /// Throws std::logic_error when the plan's delays moved by a write this
+  /// engine did not make.
+  void require_in_sync(const char* what) const;
   void mark_dirty(netlist::NodeId id);
   void mark_fanouts(netlist::NodeId id, const std::vector<char>* mask);
   void apply_source(netlist::NodeId src, const netlist::SourceStats& stats);
   /// Drains the frontier level by level. \p mask restricts marking to ids
   /// with mask[id] != 0 (the probe's backward cone); \p undo_tops records
-  /// every overwritten NodeTop for revert.
+  /// every overwritten NodeTop for revert; \p overlay supplies delays that
+  /// take precedence over the plan's (the probe's edits).
   CommitStats propagate_wave(const std::vector<char>* mask,
-                             std::vector<std::pair<netlist::NodeId, NodeTop>>* undo_tops);
+                             std::vector<std::pair<netlist::NodeId, NodeTop>>* undo_tops,
+                             const DelayOverlay& overlay);
   void propagate_dirty();
   /// Backward closure of \p targets as a node mask, memoized per distinct
   /// target set (topology-only, so edits never invalidate it).
   const std::vector<char>& target_mask(std::span<const netlist::NodeId> targets);
 
-  const netlist::Netlist& design_;
-  netlist::DelayModel delays_;
-  std::vector<netlist::NodeId> sources_;  ///< design_.timing_sources()
+  CompiledDesign& plan_;
+  /// plan_.delay_epoch() as this engine's own writes have left it.
+  std::uint64_t plan_epoch_;
   std::vector<NodeTop> state_;
   util::DirtyFrontier frontier_;
   bool in_txn_ = false;
-  std::uint64_t epoch_ = 0;
   std::uint64_t nodes_reevaluated_ = 0;
   std::uint64_t settled_early_ = 0;
   double settle_eps_ = kDefaultSettleEps;
@@ -219,11 +213,6 @@ class IncrementalSpsta {
   };
   static constexpr std::size_t kMaxMaskEntries = 8;
   std::vector<MaskEntry> mask_cache_;
-
-  /// Persistent exact-key pattern cache: ECO update sequences revisit the
-  /// same nodes with mostly unchanged fanin probabilities, so repeated
-  /// recomputations skip pattern enumeration (hits are bit-identical).
-  PatternCache pattern_cache_{PatternCache::kExactKeys};
 };
 
 }  // namespace spsta::core

@@ -138,26 +138,23 @@ struct SpstaOptions {
     std::span<const netlist::SourceStats> source_stats, const SpstaOptions& options);
 
 /// Recomputes one combinational gate's four-value probabilities and
-/// rise/fall tops from the current state — the single-node kernel shared
-/// by the batch and incremental moment engines.
-[[nodiscard]] NodeTop propagate_node_top(const netlist::Netlist& design,
-                                         netlist::NodeId id,
+/// rise/fall tops from the current state, adding \p rise_delay /
+/// \p fall_delay — the single-node kernel shared by the batch and
+/// incremental moment engines. The delays are arguments, not read from
+/// the plan, so a caller can evaluate under edits it has not written
+/// (IncrementalSpsta's probe). \p cache (nullable) memoizes pattern
+/// enumeration: repeated recomputations of a node whose fanin
+/// probabilities are unchanged skip it, and exact keys keep hits
+/// bit-identical to recomputation.
+[[nodiscard]] NodeTop propagate_node_top(const CompiledDesign& plan, netlist::NodeId id,
                                          std::span<const NodeTop> state,
-                                         const netlist::DelayModel& delays);
-
-/// Same single-node kernel with an explicit pattern cache (nullable):
-/// repeated recomputations of a node whose fanin probabilities are
-/// unchanged — the hot case in incremental/ECO re-queries — skip pattern
-/// enumeration. Exact keys keep hits bit-identical to recomputation.
-[[nodiscard]] NodeTop propagate_node_top(const netlist::Netlist& design,
-                                         netlist::NodeId id,
-                                         std::span<const NodeTop> state,
-                                         const netlist::DelayModel& delays,
+                                         const stats::Gaussian& rise_delay,
+                                         const stats::Gaussian& fall_delay,
                                          PatternCache* cache);
 
 /// Runs the numeric engine on a precompiled plan: the grid comes from the
-/// plan's precomputed structural delay span (bit-identical to the legacy
-/// per-run scan) and no structural code executes.
+/// plan's structural delay span (bit-identical to the legacy per-run
+/// scan) and no levelization or adjacency is rebuilt.
 [[nodiscard]] SpstaNumericResult run_spsta_numeric(
     const CompiledDesign& plan, std::span<const netlist::SourceStats> source_stats,
     const SpstaOptions& options = {});

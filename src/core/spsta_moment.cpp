@@ -61,12 +61,26 @@ Gaussian fold_arrivals(const SwitchPattern& p, std::span<const NodeTop> node,
   return acc;
 }
 
-/// Single-node kernel; \p cache (nullable) memoizes pattern enumeration.
-NodeTop propagate_node_top_impl(netlist::GateType type,
-                                std::span<const NodeId> fanins, NodeId id,
-                                std::span<const NodeTop> state,
-                                const netlist::DelayModel& delays,
-                                PatternCache* cache) {
+/// Cache selection shared by both engines' compiled runs: an explicit
+/// shared cache wins; the default exact-key configuration reuses the
+/// plan's persistent cache (hits are bit-identical to recomputation); a
+/// custom quantum falls back to \p local so the plan's exact-key entries
+/// are never mixed with quantized ones.
+PatternCache* select_cache(const CompiledDesign& plan, const SpstaOptions& options,
+                           PatternCache& local) {
+  if (options.shared_pattern_cache != nullptr) return options.shared_pattern_cache;
+  if (!options.use_pattern_cache) return nullptr;
+  if (options.pattern_quantum == PatternCache::kExactKeys) return &plan.pattern_cache();
+  return &local;
+}
+
+}  // namespace
+
+NodeTop propagate_node_top(const CompiledDesign& plan, NodeId id,
+                           std::span<const NodeTop> state, const Gaussian& rise_delay,
+                           const Gaussian& fall_delay, PatternCache* cache) {
+  const netlist::GateType type = plan.type(id);
+  const std::span<const NodeId> fanins = plan.fanins(id);
   NodeTop top;
   std::vector<FourValueProbs> fanin_probs;
   fanin_probs.reserve(fanins.size());
@@ -92,42 +106,13 @@ NodeTop propagate_node_top_impl(netlist::GateType type,
   }
   // Adding the (symmetric) gate delay leaves the third central moment of
   // the mixture unchanged.
-  top.rise = {rise_mix.mass(), stats::sum(rise_mix.moments(), delays.delay(id, true)),
+  top.rise = {rise_mix.mass(), stats::sum(rise_mix.moments(), rise_delay),
               mixture_third_central(rise_mix)};
-  top.fall = {fall_mix.mass(), stats::sum(fall_mix.moments(), delays.delay(id, false)),
+  top.fall = {fall_mix.mass(), stats::sum(fall_mix.moments(), fall_delay),
               mixture_third_central(fall_mix)};
   if (top.rise.mass <= 0.0) top.rise = {};
   if (top.fall.mass <= 0.0) top.fall = {};
   return top;
-}
-
-/// Cache selection shared by both engines' compiled runs: an explicit
-/// shared cache wins; the default exact-key configuration reuses the
-/// plan's persistent cache (hits are bit-identical to recomputation); a
-/// custom quantum falls back to \p local so the plan's exact-key entries
-/// are never mixed with quantized ones.
-PatternCache* select_cache(const CompiledDesign& plan, const SpstaOptions& options,
-                           PatternCache& local) {
-  if (options.shared_pattern_cache != nullptr) return options.shared_pattern_cache;
-  if (!options.use_pattern_cache) return nullptr;
-  if (options.pattern_quantum == PatternCache::kExactKeys) return &plan.pattern_cache();
-  return &local;
-}
-
-}  // namespace
-
-NodeTop propagate_node_top(const netlist::Netlist& design, NodeId id,
-                           std::span<const NodeTop> state,
-                           const netlist::DelayModel& delays) {
-  const netlist::Node& node = design.node(id);
-  return propagate_node_top_impl(node.type, node.fanins, id, state, delays, nullptr);
-}
-
-NodeTop propagate_node_top(const netlist::Netlist& design, NodeId id,
-                           std::span<const NodeTop> state,
-                           const netlist::DelayModel& delays, PatternCache* cache) {
-  const netlist::Node& node = design.node(id);
-  return propagate_node_top_impl(node.type, node.fanins, id, state, delays, cache);
 }
 
 SpstaResult run_spsta_moment(const CompiledDesign& plan,
@@ -164,8 +149,9 @@ SpstaResult run_spsta_moment(const CompiledDesign& plan,
     pool.for_each_index(group.size(), [&](std::size_t k) {
       const NodeId id = group[k];
       if (!plan.combinational(id)) return;
-      result.node[id] = propagate_node_top_impl(
-          plan.type(id), plan.fanins(id), id, result.node, plan.delays(), cache);
+      result.node[id] =
+          propagate_node_top(plan, id, result.node, plan.delays().delay(id, true),
+                             plan.delays().delay(id, false), cache);
     });
   }
   return result;

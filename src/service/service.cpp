@@ -683,7 +683,7 @@ Response AnalysisService::handle_query(const Request& request) {
 
   // Warm-query fast path: once a session has taken an ECO edit, a plain
   // moment-engine node query reads the warm incremental engine directly —
-  // per-node, memoized against the monotone edit epoch — instead of
+  // per-node, memoized until the next ECO edit — instead of
   // materializing (and copying) a full SpstaResult per (engine, params)
   // cache entry. Bit-identical: the engine settles exactly (eps == 0).
   if (node != nullptr && engine == Engine::SpstaMoment && session.incremental &&
@@ -695,11 +695,6 @@ Response AnalysisService::handle_query(const Request& request) {
     } catch (const std::invalid_argument& e) {
       fail(ErrorCode::BadParams, e.what());
     }
-    core::IncrementalSpsta& inc = *session.incremental;
-    if (session.query_cache_epoch != inc.epoch()) {
-      session.query_cache.clear();
-      session.query_cache_epoch = inc.epoch();
-    }
     static obs::Counter& cache_hit_counter =
         obs::registry().counter("incremental.cache_hit");
     auto it = session.query_cache.find(query_node);
@@ -707,7 +702,8 @@ Response AnalysisService::handle_query(const Request& request) {
     if (hit) {
       cache_hit_counter.add();
     } else {
-      it = session.query_cache.emplace(query_node, inc.node(query_node)).first;
+      it = session.query_cache.emplace(query_node, session.incremental->node(query_node))
+               .first;
     }
     ++session.queries;
 

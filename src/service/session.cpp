@@ -41,12 +41,10 @@ Session::Session(std::string key_, netlist::Netlist design_,
                                             netlist::scenario_I());
   AnalyzerOptions options;
   options.shared_pattern_cache = shared_pattern_cache;
+  // The Analyzer compiles its plan here, outside any store lock, so every
+  // analyze (from any client of this content hash) starts warm.
   analyzer = std::make_unique<Analyzer>(std::move(design_), std::move(delays),
                                         std::move(sources), options);
-  // Eager compile: the plan is the expensive, shareable artifact — build it
-  // here, outside any store lock, so every analyze (from any client of this
-  // content hash) starts warm.
-  (void)analyzer->plan();
   // Footprint estimate: levelization/adjacency arenas, delay span, pattern
   // cache share and one resident result all scale with node count.
   approx_bytes = 4096 + design().node_count() * 1024;
@@ -65,8 +63,8 @@ Session::Session(std::string key_, netlist::HierDesign design_,
 core::IncrementalSpsta& Session::warm_incremental() {
   if (!incremental) {
     // Exact settlement: every update sequence stays bit-identical to a
-    // fresh full moment-engine run. Seeded from the compiled plan so the
-    // levelization is not re-derived.
+    // fresh full moment-engine run. Built over the analyzer's plan, so the
+    // engine and every other engine read the one delay model.
     incremental = std::make_unique<core::IncrementalSpsta>(
         analyzer->plan(), analyzer->sources(), /*settle_eps=*/0.0);
   }
@@ -79,13 +77,15 @@ core::IncrementalSpsta::CommitStats Session::apply_eco(
   // cone-limited update rather than a full re-analysis. One transaction:
   // N edits merge into a single dirty frontier and one propagation wave.
   core::IncrementalSpsta& inc = warm_incremental();
+  // Cleared up front: even a batch that throws half-way has moved state.
+  cache.clear();
+  query_cache.clear();
   inc.begin_eco();
   core::IncrementalSpsta::CommitStats stats;
   try {
     for (const core::IncrementalSpsta::EcoEdit& edit : edits) {
       if (edit.kind == core::IncrementalSpsta::EcoEdit::Kind::kDelay) {
-        analyzer->set_delay(edit.node, edit.delay);
-        inc.set_delay(edit.node, edit.delay);
+        inc.set_delay(edit.node, edit.delay);  // writes the analyzer's plan
       } else {
         analyzer->set_source(edit.source_index, edit.source);
         inc.set_source_stats(edit.source_index, edit.source);
@@ -100,7 +100,6 @@ core::IncrementalSpsta::CommitStats Session::apply_eco(
   }
   ++eco_version;
   eco_edits += edits.size();
-  cache.clear();
   return stats;
 }
 

@@ -79,29 +79,28 @@ struct Session {
   std::string key;          ///< 16-hex content hash
   std::string display_name; ///< netlist name (for humans)
 
-  /// The unified entry point: owns the netlist, delay model and source
-  /// statistics, and caches the CompiledDesign plan every analysis against
-  /// this session reuses (recompiled lazily after a delay ECO).
+  /// The unified entry point: owns the netlist and source statistics, and
+  /// the CompiledDesign plan every analysis against this session reuses.
+  /// The plan is the session's one delay model; a delay ECO patches it in
+  /// place (no recompile).
   std::unique_ptr<Analyzer> analyzer;
 
   /// Warm incremental moment engine, created on first use (first
-  /// spsta_moment analysis or first ECO edit) from the compiled plan. Uses
-  /// exact settle comparison so its state is bit-identical to a fresh full
-  /// run.
+  /// spsta_moment analysis or first ECO edit) over the analyzer's plan, so
+  /// its delay edits are the analyzer's. Uses exact settle comparison so
+  /// its state is bit-identical to a fresh full run.
   std::unique_ptr<core::IncrementalSpsta> incremental;
 
-  /// Bumped by every ECO edit (set_delay / set_source); stale cache
-  /// entries are dropped on the bump.
+  /// Bumped by every ECO edit (set_delay / set_source) — the one session
+  /// epoch. apply_eco clears both caches below on every edit batch.
   std::uint64_t eco_version = 0;
 
   /// (engine|params) -> result, valid for the current eco_version only.
   std::unordered_map<std::string, CachedAnalysis> cache;
 
-  /// Endpoint query cache for the warm moment engine, keyed on the
-  /// incremental engine's monotone edit epoch: repeated `query` of the
-  /// same nodes between edits reads here instead of re-walking (or
-  /// re-copying) engine state. Invalidated lazily when the epoch moves.
-  std::uint64_t query_cache_epoch = ~std::uint64_t{0};
+  /// Endpoint query cache for the warm moment engine: repeated `query` of
+  /// the same nodes between edits reads here instead of re-walking (or
+  /// re-copying) engine state. Valid for the current eco_version only.
   std::unordered_map<netlist::NodeId, core::NodeTop> query_cache;
 
   /// Hierarchical sessions only: the composition analyzer (flat sessions
@@ -156,16 +155,16 @@ struct Session {
   /// on first call. Caller must hold `mutex`.
   core::IncrementalSpsta& warm_incremental();
 
-  /// Applies a batch of ECO edits as one transaction: updates the analyzer
-  /// (delays/sources), commits a single merged propagation wave on the
-  /// warm incremental engine, bumps eco_version and clears the result
-  /// caches. Returns the wave's cost (the per-request `nodes_reevaluated`
+  /// Applies a batch of ECO edits as one transaction: writes each delay
+  /// edit once, through the warm incremental engine into the shared plan,
+  /// updates the analyzer's sources, commits a single merged propagation
+  /// wave, bumps eco_version and clears the result and query caches. Returns the wave's cost (the per-request `nodes_reevaluated`
   /// / `settled_early` the protocol reports). Caller holds `mutex`.
   core::IncrementalSpsta::CommitStats apply_eco(
       std::span<const core::IncrementalSpsta::EcoEdit> edits);
 
   /// What-if probe against the warm engine: arrivals under \p edits at
-  /// \p targets, with state/delays reverted afterwards. Neither
+  /// \p targets; the plan is never written and the state is restored. Neither
   /// eco_version nor the caches move. Caller holds `mutex`.
   core::IncrementalSpsta::ProbeResult probe_eco(
       std::span<const core::IncrementalSpsta::EcoEdit> edits,

@@ -72,11 +72,8 @@ const mc::MonteCarloResult& AnalysisReport::monte_carlo() const {
 
 Analyzer::Analyzer(netlist::Netlist design, netlist::DelayModel delays,
                    std::vector<netlist::SourceStats> sources, Options options)
-    : design_(std::move(design)), delays_(std::move(delays)),
+    : design_(std::move(design)), plan_(design_, std::move(delays)),
       sources_(std::move(sources)), options_(options) {
-  if (delays_.size() != design_.node_count()) {
-    throw std::invalid_argument("Analyzer: delay model sized for a different netlist");
-  }
   const std::size_t num_sources = design_.timing_sources().size();
   if (sources_.size() != num_sources && sources_.size() != 1) {
     throw std::invalid_argument("Analyzer: source stats count mismatch (" +
@@ -86,16 +83,8 @@ Analyzer::Analyzer(netlist::Netlist design, netlist::DelayModel delays,
 }
 
 Analyzer::Analyzer(netlist::Netlist design, Options options)
-    : design_(std::move(design)), delays_(netlist::DelayModel::unit(design_)),
+    : design_(std::move(design)), plan_(design_, netlist::DelayModel::unit(design_)),
       sources_{netlist::scenario_I()}, options_(options) {}
-
-const core::CompiledDesign& Analyzer::plan() {
-  const std::lock_guard<std::mutex> lock(plan_mutex_);
-  if (!plan_) plan_ = std::make_unique<core::CompiledDesign>(design_, delays_);
-  return *plan_;
-}
-
-std::uint64_t Analyzer::content_hash() { return plan().content_hash(); }
 
 void Analyzer::validate(const AnalysisRequest& request) {
   const auto reject = [&](const char* field, const char* allowed) {
@@ -139,7 +128,6 @@ util::ThreadPool* Analyzer::acquire_pool(unsigned threads,
 
 AnalysisReport Analyzer::run(const AnalysisRequest& request) {
   validate(request);
-  const core::CompiledDesign& plan = this->plan();
   const unsigned threads = request.threads.value_or(options_.threads);
 
   AnalysisReport report;
@@ -159,17 +147,17 @@ AnalysisReport Analyzer::run(const AnalysisRequest& request) {
         opts.grid_pad_sigma = request.grid_pad_sigma.value_or(defaults.grid_pad_sigma);
         opts.max_grid_points =
             request.max_grid_points.value_or(defaults.max_grid_points);
-        report.result = core::run_spsta_numeric(plan, sources_, opts);
+        report.result = core::run_spsta_numeric(plan_, sources_, opts);
       } else {
-        report.result = core::run_spsta_moment(plan, sources_, opts);
+        report.result = core::run_spsta_moment(plan_, sources_, opts);
       }
       break;
     }
     case Engine::Canonical:
-      report.result = core::run_spsta_canonical(plan, sources_);
+      report.result = core::run_spsta_canonical(plan_, sources_);
       break;
     case Engine::Ssta:
-      report.result = ssta::run_ssta(plan, sources_);
+      report.result = ssta::run_ssta(plan_, sources_);
       break;
     case Engine::Mc: {
       mc::MonteCarloConfig cfg;
@@ -179,7 +167,7 @@ AnalysisReport Analyzer::run(const AnalysisRequest& request) {
       cfg.track_circuit_max = request.track_circuit_max.value_or(false);
       std::unique_lock<std::mutex> pool_lock;
       cfg.shared_pool = acquire_pool(threads, pool_lock);
-      report.result = mc::run_monte_carlo(plan, sources_, cfg);
+      report.result = mc::run_monte_carlo(plan_, sources_, cfg);
       break;
     }
   }
@@ -189,16 +177,11 @@ AnalysisReport Analyzer::run(const AnalysisRequest& request) {
 }
 
 void Analyzer::set_delay(netlist::NodeId id, const stats::Gaussian& delay) {
-  if (id >= design_.node_count()) {
-    throw std::invalid_argument("Analyzer::set_delay: bad node id");
-  }
-  const std::lock_guard<std::mutex> lock(plan_mutex_);
-  delays_.set_delay(id, delay);
-  plan_.reset();  // delay span products and content hash are stale
+  plan_.set_delay(id, delay);
 }
 
 void Analyzer::set_source(std::size_t source_index, const netlist::SourceStats& stats) {
-  // Source statistics are run inputs, not plan inputs: no recompile.
+  // Source statistics are run inputs, not plan inputs.
   if (sources_.size() == 1 && source_index < design_.timing_sources().size()) {
     // A broadcast entry must be expanded before a single source can move.
     sources_.assign(design_.timing_sources().size(), sources_[0]);

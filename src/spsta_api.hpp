@@ -1,17 +1,18 @@
 /// \file spsta_api.hpp
 /// The public face of the toolkit: one umbrella header, one `Analyzer`.
 ///
-/// An `Analyzer` owns a design (netlist + delay model + source statistics)
-/// and the `CompiledDesign` analysis plan derived from it — levelization,
-/// arena adjacency, structural delay span, switch-pattern cache — compiled
-/// lazily on first use and reused by every subsequent run, so repeated
-/// analyses touch zero structural code. A single `AnalysisRequest` selects
-/// any engine (moment / numeric / canonical SPSTA, block-based SSTA, the
-/// Monte Carlo ground truth) and `run()` returns a unified
-/// `AnalysisReport`. Requests are validated against the selected engine:
-/// options the engine cannot honor (e.g. grid settings for the moment
-/// engine, run counts for anything but Monte Carlo) are rejected with
-/// `std::invalid_argument` instead of being silently ignored.
+/// An `Analyzer` owns a design (netlist + source statistics) and the
+/// `CompiledDesign` analysis plan derived from it — levelization, arena
+/// adjacency, switch-pattern cache and the delay model — compiled once at
+/// construction and reused by every subsequent run, so repeated analyses
+/// touch zero structural code. Delay edits patch the plan in place. A
+/// single `AnalysisRequest` selects any engine (moment / numeric /
+/// canonical SPSTA, block-based SSTA, the Monte Carlo ground truth) and
+/// `run()` returns a unified `AnalysisReport`. Requests are validated
+/// against the selected engine: options the engine cannot honor (e.g.
+/// grid settings for the moment engine, run counts for anything but Monte
+/// Carlo) are rejected with `std::invalid_argument` instead of being
+/// silently ignored.
 ///
 /// The per-engine `run_*` functions under src/core, src/ssta and src/mc
 /// remain available as implementation-level entry points; results through
@@ -138,10 +139,10 @@ struct AnalyzerOptions {
 /// and the execution resources shared across runs (switch-pattern cache
 /// via the plan, thread pool).
 ///
-/// Thread model: `run()` is safe to call concurrently — the plan compiles
-/// once under a lock and is immutable afterwards; concurrent runs that
-/// contend for the shared pool fall back to a private one. ECO edits
-/// (`set_delay`, `set_source`) must not race running analyses.
+/// Thread model: `run()` is safe to call concurrently — runs only read
+/// the plan; concurrent runs that contend for the shared pool fall back to
+/// a private one. ECO edits (`set_delay`, `set_source`) must not race
+/// running analyses.
 class Analyzer {
  public:
   using Options = AnalyzerOptions;
@@ -160,29 +161,34 @@ class Analyzer {
   Analyzer& operator=(const Analyzer&) = delete;
 
   [[nodiscard]] const netlist::Netlist& design() const noexcept { return design_; }
-  [[nodiscard]] const netlist::DelayModel& delays() const noexcept { return delays_; }
+  [[nodiscard]] const netlist::DelayModel& delays() const noexcept {
+    return plan_.delays();
+  }
   [[nodiscard]] std::span<const netlist::SourceStats> sources() const noexcept {
     return sources_;
   }
 
-  /// The compiled analysis plan, built on first use and cached until an
-  /// ECO edit invalidates it. Valid until the next `set_delay`.
-  [[nodiscard]] const core::CompiledDesign& plan();
+  /// The compiled analysis plan, built by the constructor. The same object
+  /// for the Analyzer's lifetime: `set_delay` patches it in place. It is
+  /// also the owner of the delays, so an `IncrementalSpsta` built over it
+  /// shares them (its delay edits are the Analyzer's).
+  [[nodiscard]] core::CompiledDesign& plan() noexcept { return plan_; }
 
   /// Content hash of (netlist, delay model) — see
   /// CompiledDesign::content_hash.
-  [[nodiscard]] std::uint64_t content_hash();
+  [[nodiscard]] std::uint64_t content_hash() const { return plan_.content_hash(); }
 
   /// Throws std::invalid_argument when the request sets an option its
   /// engine cannot honor, or sets a value out of range.
   static void validate(const AnalysisRequest& request);
 
-  /// Validates, compiles (if needed) and dispatches the request.
+  /// Validates and dispatches the request.
   [[nodiscard]] AnalysisReport run(const AnalysisRequest& request);
 
-  /// ECO edits. `set_delay` recompiles the plan on next use (the delay
-  /// span products and content hash move); `set_source` does not — source
-  /// statistics are run inputs, not part of the plan.
+  /// ECO edits. `set_delay` forwards to CompiledDesign::set_delay: the
+  /// plan's delay model is patched in place (topology is never rebuilt)
+  /// and the content hash moves. `set_source` leaves the plan alone —
+  /// source statistics are run inputs, not part of the plan.
   void set_delay(netlist::NodeId id, const stats::Gaussian& delay);
   void set_source(std::size_t source_index, const netlist::SourceStats& stats);
 
@@ -193,12 +199,9 @@ class Analyzer {
                                                std::unique_lock<std::mutex>& lock);
 
   netlist::Netlist design_;
-  netlist::DelayModel delays_;
+  core::CompiledDesign plan_;  ///< points into design_: declared after it
   std::vector<netlist::SourceStats> sources_;
   Options options_;
-
-  std::mutex plan_mutex_;
-  std::unique_ptr<core::CompiledDesign> plan_;
 
   std::mutex pool_mutex_;
   std::unique_ptr<util::ThreadPool> pool_;

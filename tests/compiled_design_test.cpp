@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/compiled_design.hpp"
+#include "core/incremental_spsta.hpp"
 #include "core/spsta.hpp"
 #include "core/spsta_canonical.hpp"
 #include "mc/monte_carlo.hpp"
@@ -267,6 +268,68 @@ TEST(CompiledDesign, ContentHashTracksInputs) {
   const netlist::Netlist other = test_circuit(43);
   const netlist::DelayModel other_d = netlist::DelayModel::gaussian(other, 1.0, 0.05);
   EXPECT_NE(core::CompiledDesign(other, other_d).content_hash(), a.content_hash());
+}
+
+// Kernel sets are bitwise equal when every kernel (taps and spectra) and
+// every per-node index agree.
+void expect_same_kernels(const core::DelayKernelSet& a, const core::DelayKernelSet& b) {
+  ASSERT_EQ(a.dt, b.dt);
+  ASSERT_EQ(a.spec_grid_n, b.spec_grid_n);
+  ASSERT_EQ(a.rise_index, b.rise_index);
+  ASSERT_EQ(a.fall_index, b.fall_index);
+  ASSERT_EQ(a.kernels.size(), b.kernels.size());
+  for (std::size_t k = 0; k < a.kernels.size(); ++k) {
+    ASSERT_EQ(a.kernels[k].exact_shift, b.kernels[k].exact_shift);
+    ASSERT_EQ(a.kernels[k].shift, b.kernels[k].shift);
+    ASSERT_EQ(a.kernels[k].first, b.kernels[k].first);
+    ASSERT_EQ(a.kernels[k].taps, b.kernels[k].taps);
+    ASSERT_EQ(a.kernels[k].spec_n, b.kernels[k].spec_n);
+    ASSERT_EQ(a.kernels[k].spec_re, b.kernels[k].spec_re);
+    ASSERT_EQ(a.kernels[k].spec_im, b.kernels[k].spec_im);
+  }
+}
+
+// The plan takes delay edits in place: a probe never writes it (epoch and
+// cached kernels survive), while set_delay drops the kernels, and the
+// rebuilt ones — like the span products and hash — equal a new plan's.
+TEST(CompiledDesign, SetDelayPatchesInPlaceAndProbesNeverWrite) {
+  const netlist::Netlist n = test_circuit();
+  netlist::DelayModel d = netlist::DelayModel::gaussian(n, 1.0, 0.05);
+  core::CompiledDesign plan(n, d);
+  const std::vector sources{netlist::scenario_I()};
+  const stats::GridSpec grid = plan.grid_for(sources, core::SpstaOptions{});
+  const std::shared_ptr<const core::DelayKernelSet> kernels =
+      plan.delay_kernels(grid.dt, grid.n);
+
+  NodeId gate = netlist::kInvalidNode;
+  for (NodeId id = 0; id < n.node_count(); ++id) {
+    if (plan.combinational(id) && !plan.fanins(id).empty()) gate = id;
+  }
+  ASSERT_NE(gate, netlist::kInvalidNode);
+
+  core::IncrementalSpsta inc(plan, sources, /*settle_eps=*/0.0);
+  const core::IncrementalSpsta::EcoEdit edit =
+      core::IncrementalSpsta::EcoEdit::delay_edit(gate, {4.0, 0.3});
+  const std::vector<NodeId> targets(plan.timing_endpoints().begin(),
+                                    plan.timing_endpoints().end());
+  (void)inc.probe({&edit, 1}, targets);
+  EXPECT_EQ(plan.delay_epoch(), 0u);
+  EXPECT_EQ(plan.delay_kernels(grid.dt, grid.n), kernels);
+
+  inc.set_delay(gate, {4.0, 0.3});
+  d.set_delay(gate, {4.0, 0.3});
+  EXPECT_EQ(plan.delay_epoch(), 1u);
+  const core::CompiledDesign want(n, d);
+  const std::shared_ptr<const core::DelayKernelSet> patched =
+      plan.delay_kernels(grid.dt, grid.n);
+  EXPECT_NE(patched, kernels);
+  expect_same_kernels(*patched, *want.delay_kernels(grid.dt, grid.n));
+  EXPECT_EQ(plan.structural_delay(), want.structural_delay());
+  EXPECT_EQ(plan.max_delay_stddev(), want.max_delay_stddev());
+  EXPECT_EQ(plan.content_hash(), want.content_hash());
+
+  EXPECT_THROW(plan.set_delay(static_cast<NodeId>(n.node_count()), {1.0, 0.0}),
+               std::invalid_argument);
 }
 
 // check_source_stats enforces the shared engine precondition: exactly one

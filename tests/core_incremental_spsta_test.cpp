@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/compiled_design.hpp"
+
 #include <cstring>
 
 #include "netlist/iscas89.hpp"
@@ -31,7 +33,8 @@ TEST(IncrementalSpsta, InitialStateMatchesBatch) {
   const Netlist n = netlist::make_paper_circuit("s298");
   const netlist::DelayModel d = netlist::DelayModel::unit(n);
   const std::vector<netlist::SourceStats> sc{netlist::scenario_I()};
-  IncrementalSpsta inc(n, d, sc);
+  CompiledDesign plan(n, d);
+  IncrementalSpsta inc(plan, sc);
   expect_same(inc.flush(), run_spsta_moment(n, d, sc), n);
   EXPECT_EQ(inc.nodes_reevaluated(), 0u);
 }
@@ -40,7 +43,8 @@ TEST(IncrementalSpsta, DelayUpdateMatchesBatch) {
   const Netlist n = netlist::make_paper_circuit("s344");
   netlist::DelayModel d = netlist::DelayModel::unit(n);
   const std::vector<netlist::SourceStats> sc{netlist::scenario_I()};
-  IncrementalSpsta inc(n, d, sc);
+  CompiledDesign plan(n, d);
+  IncrementalSpsta inc(plan, sc);
 
   const NodeId target = n.timing_endpoints().front();
   inc.set_delay(target, {2.0, 0.04});
@@ -53,7 +57,8 @@ TEST(IncrementalSpsta, SourceStatsUpdateMatchesBatch) {
   const netlist::DelayModel d = netlist::DelayModel::unit(n);
   std::vector<netlist::SourceStats> sc(n.timing_sources().size(),
                                        netlist::scenario_I());
-  IncrementalSpsta inc(n, d, sc);
+  CompiledDesign plan(n, d);
+  IncrementalSpsta inc(plan, sc);
 
   // Flip one input to scenario II statistics.
   sc[3] = netlist::scenario_II();
@@ -65,7 +70,8 @@ TEST(IncrementalSpsta, ProbabilityChangePropagatesOnlyWhereItMatters) {
   const Netlist n = netlist::make_paper_circuit("s1238");
   const netlist::DelayModel d = netlist::DelayModel::unit(n);
   const std::vector<netlist::SourceStats> sc{netlist::scenario_I()};
-  IncrementalSpsta inc(n, d, sc);
+  CompiledDesign plan(n, d);
+  IncrementalSpsta inc(plan, sc);
 
   // A delay change at one endpoint gate touches only its (shallow) cone.
   const NodeId ep = n.timing_endpoints().front();
@@ -80,7 +86,8 @@ TEST(IncrementalSpsta, RandomUpdateSequenceStaysConsistent) {
   netlist::DelayModel d = netlist::DelayModel::unit(n);
   std::vector<netlist::SourceStats> sc(n.timing_sources().size(),
                                        netlist::scenario_I());
-  IncrementalSpsta inc(n, d, sc);
+  CompiledDesign plan(n, d);
+  IncrementalSpsta inc(plan, sc);
 
   stats::Xoshiro256 rng(808);
   std::vector<NodeId> gates;
@@ -138,7 +145,8 @@ TEST(IncrementalSpsta, TransactionCommitMatchesFreshFullRun) {
   const Netlist n = netlist::make_paper_circuit("s1196");
   const netlist::DelayModel d = netlist::DelayModel::unit(n);
   const std::vector<netlist::SourceStats> sc{netlist::scenario_I()};
-  IncrementalSpsta inc(n, d, sc, /*settle_eps=*/0.0);
+  CompiledDesign plan(n, d);
+  IncrementalSpsta inc(plan, sc, /*settle_eps=*/0.0);
 
   stats::Xoshiro256 rng(4242);
   std::vector<NodeId> gates;
@@ -158,14 +166,16 @@ TEST(IncrementalSpsta, TransactionCommitMatchesFreshFullRun) {
   EXPECT_FALSE(inc.in_transaction());
   EXPECT_GT(stats.cone_size, 0u);
 
-  IncrementalSpsta fresh(n, final_delays, sc, /*settle_eps=*/0.0);
+  CompiledDesign fresh_plan(n, final_delays);
+  IncrementalSpsta fresh(fresh_plan, sc, /*settle_eps=*/0.0);
   expect_bits_equal(inc.flush(), fresh.flush(), n);
 }
 
 TEST(IncrementalSpsta, ReadsThrowWhileTransactionOpen) {
   const Netlist n = netlist::make_s27();
   const netlist::DelayModel d = netlist::DelayModel::unit(n);
-  IncrementalSpsta inc(n, d, std::vector{netlist::scenario_I()});
+  CompiledDesign plan(n, d);
+  IncrementalSpsta inc(plan, std::vector{netlist::scenario_I()});
   inc.begin_eco();
   EXPECT_THROW((void)inc.node(0), std::logic_error);
   EXPECT_THROW((void)inc.flush(), std::logic_error);
@@ -193,12 +203,16 @@ TEST(IncrementalSpsta, ProbeMatchesCommitThenQuery) {
         gates[rng.uniform_index(gates.size())],
         stats::Gaussian{rng.uniform(0.5, 2.0), 0.0}));
   }
+  // A second edit of one gate: the later edit wins, in both paths.
+  edits.push_back(IncrementalSpsta::EcoEdit::delay_edit(edits.front().node, {1.7, 0.0}));
 
-  IncrementalSpsta prober(n, d, sc, /*settle_eps=*/0.0);
+  CompiledDesign prober_plan(n, d);
+  IncrementalSpsta prober(prober_plan, sc, /*settle_eps=*/0.0);
   const auto probed = prober.probe(edits, targets);
   ASSERT_EQ(probed.tops.size(), targets.size());
 
-  IncrementalSpsta committed(n, d, sc, /*settle_eps=*/0.0);
+  CompiledDesign committed_plan(n, d);
+  IncrementalSpsta committed(committed_plan, sc, /*settle_eps=*/0.0);
   committed.begin_eco();
   for (const auto& e : edits) committed.set_delay(e.node, e.delay);
   (void)committed.commit();
@@ -214,15 +228,18 @@ TEST(IncrementalSpsta, ProbeLeavesStateAndDelaysBitwiseUntouched) {
   for (NodeId id = 0; id < n.node_count(); ++id) {
     if (netlist::is_combinational(n.node(id).type)) gates.push_back(id);
   }
-  // Directional override on one probed gate: revert must restore all three
-  // delay slots, because set_delay clears rise/fall overrides.
+  // Directional override on one probed gate: the probe's edit of it (which
+  // would clear the override) must not reach the plan.
   const NodeId dir_gate = gates[2];
   d.set_rise_delay(dir_gate, {1.5, 0.01});
   d.set_fall_delay(dir_gate, {0.75, 0.02});
 
-  IncrementalSpsta inc(n, d, std::vector{netlist::scenario_I()},
+  CompiledDesign plan(n, d);
+  IncrementalSpsta inc(plan, std::vector{netlist::scenario_I()},
                        /*settle_eps=*/0.0);
   const std::vector<NodeTop> before = inc.flush();  // copy
+  const std::uint64_t epoch_before = plan.delay_epoch();
+  const std::uint64_t hash_before = plan.content_hash();
 
   const std::vector<NodeId> targets{n.timing_endpoints().front()};
   const std::vector<IncrementalSpsta::EcoEdit> edits{
@@ -233,13 +250,17 @@ TEST(IncrementalSpsta, ProbeLeavesStateAndDelaysBitwiseUntouched) {
     (void)inc.probe(edits, targets);
   }
   expect_bits_equal(inc.flush(), before, n);
+  EXPECT_EQ(plan.delay_epoch(), epoch_before);
+  EXPECT_EQ(plan.content_hash(), hash_before);
+  EXPECT_TRUE(plan.delays().is_directional(dir_gate));
 
-  // The directional override survived probe/revert: committing an unrelated
+  // The directional override survived the probes: committing an unrelated
   // edit and re-flushing still matches a fresh run over the original model.
   inc.set_delay(gates[1], {1.3, 0.0});
   netlist::DelayModel d2 = d;
   d2.set_delay(gates[1], {1.3, 0.0});
-  IncrementalSpsta fresh(n, d2, std::vector{netlist::scenario_I()},
+  CompiledDesign fresh_plan(n, d2);
+  IncrementalSpsta fresh(fresh_plan, std::vector{netlist::scenario_I()},
                          /*settle_eps=*/0.0);
   expect_bits_equal(inc.flush(), fresh.flush(), n);
 }
@@ -247,7 +268,8 @@ TEST(IncrementalSpsta, ProbeLeavesStateAndDelaysBitwiseUntouched) {
 TEST(IncrementalSpsta, ProbeValidatesEditsAndTargets) {
   const Netlist n = netlist::make_s27();
   const netlist::DelayModel d = netlist::DelayModel::unit(n);
-  IncrementalSpsta inc(n, d, std::vector{netlist::scenario_I()});
+  CompiledDesign plan(n, d);
+  IncrementalSpsta inc(plan, std::vector{netlist::scenario_I()});
   const std::vector<NodeId> ok_target{n.timing_endpoints().front()};
   const std::vector<IncrementalSpsta::EcoEdit> bad_edit{
       IncrementalSpsta::EcoEdit::delay_edit(static_cast<NodeId>(9999), {1.0, 0.0})};
@@ -256,27 +278,97 @@ TEST(IncrementalSpsta, ProbeValidatesEditsAndTargets) {
       IncrementalSpsta::EcoEdit::delay_edit(ok_target.front(), {1.5, 0.0})};
   const std::vector<NodeId> bad_target{static_cast<NodeId>(9999)};
   EXPECT_THROW((void)inc.probe(ok_edit, bad_target), std::invalid_argument);
+  // A batch is validated before anything applies: a good source edit ahead
+  // of a bad delay edit leaves no trace.
+  const std::vector<NodeTop> before = inc.flush();  // copy
+  const std::vector<IncrementalSpsta::EcoEdit> half_bad{
+      IncrementalSpsta::EcoEdit::source_edit(0, netlist::scenario_II()),
+      bad_edit.front()};
+  EXPECT_THROW((void)inc.probe(half_bad, ok_target), std::invalid_argument);
+  expect_bits_equal(inc.flush(), before, n);
   inc.begin_eco();
   EXPECT_THROW((void)inc.probe(ok_edit, ok_target), std::logic_error);
   (void)inc.commit();
 }
 
-TEST(IncrementalSpsta, EpochAdvancesOnEffectiveEditsOnly) {
+TEST(IncrementalSpsta, NoOpEditsReevaluateNothing) {
   const Netlist n = netlist::make_s27();
   const netlist::DelayModel d = netlist::DelayModel::unit(n);
-  IncrementalSpsta inc(n, d, std::vector{netlist::scenario_I()});
-  const std::uint64_t e0 = inc.epoch();
+  CompiledDesign plan(n, d);
+  IncrementalSpsta inc(plan, std::vector{netlist::scenario_I()});
   const NodeId g = n.timing_endpoints().front();
   inc.set_delay(g, {1.0, 0.0});  // no-op: unit delay already
-  EXPECT_EQ(inc.epoch(), e0);
+  (void)inc.flush();
+  EXPECT_EQ(inc.nodes_reevaluated(), 0u);
   inc.set_delay(g, {1.5, 0.0});
-  EXPECT_GT(inc.epoch(), e0);
+  (void)inc.flush();
+  EXPECT_GT(inc.nodes_reevaluated(), 0u);
+}
+
+// Regression: a common-delay edit equal to the common slot of a gate with a
+// rise override is not a no-op. Setting the common delay clears the
+// override, so the gate's effective rise delay moves. Both the committed
+// edit and a probe of it must match a fresh run over the edited model.
+TEST(IncrementalSpsta, CommonEditOnDirectionalGateMatchesFreshRun) {
+  const Netlist n = netlist::make_paper_circuit("s344");
+  netlist::DelayModel d = netlist::DelayModel::unit(n);
+  std::vector<NodeId> gates;
+  for (NodeId id = 0; id < n.node_count(); ++id) {
+    if (netlist::is_combinational(n.node(id).type)) gates.push_back(id);
+  }
+  const NodeId g = gates[2];
+  d.set_rise_delay(g, {1.5, 0.01});
+  const stats::Gaussian common = d.delay(g);
+  const std::vector sc{netlist::scenario_I()};
+
+  netlist::DelayModel edited = d;
+  edited.set_delay(g, common);
+  const std::vector<NodeTop> want = run_spsta_moment(n, edited, sc).node;
+
+  CompiledDesign probe_plan(n, d);
+  IncrementalSpsta prober(probe_plan, sc, /*settle_eps=*/0.0);
+  const std::vector<NodeId> targets = n.timing_endpoints();
+  const IncrementalSpsta::EcoEdit edit = IncrementalSpsta::EcoEdit::delay_edit(g, common);
+  const auto probed = prober.probe({&edit, 1}, targets);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_TRUE(bits_equal(probed.tops[i], want[targets[i]])) << n.node(targets[i]).name;
+  }
+
+  CompiledDesign plan(n, d);
+  IncrementalSpsta inc(plan, sc, /*settle_eps=*/0.0);
+  inc.set_delay(g, common);
+  expect_bits_equal(inc.flush(), want, n);
+}
+
+// The plan owns the delays; a write that bypasses the engine leaves its
+// state stale, and every read says so instead of answering from it.
+TEST(IncrementalSpsta, ReadsThrowAfterThePlanIsEditedBehindTheEngine) {
+  const Netlist n = netlist::make_paper_circuit("s298");
+  CompiledDesign plan(n, netlist::DelayModel::unit(n));
+  IncrementalSpsta inc(plan, std::vector{netlist::scenario_I()});
+  const NodeId g = n.timing_endpoints().front();
+  inc.set_delay(g, {1.5, 0.0});  // the engine's own write: still in sync
+  (void)inc.flush();
+  EXPECT_EQ(plan.delays().delay(g).mean, 1.5);
+
+  plan.set_delay(g, {2.0, 0.0});
+  EXPECT_THROW((void)inc.flush(), std::logic_error);
+  EXPECT_THROW((void)inc.node(g), std::logic_error);
+  const std::vector<NodeId> targets{g};
+  EXPECT_THROW((void)inc.probe({}, targets), std::logic_error);
+  inc.begin_eco();
+  EXPECT_THROW((void)inc.commit(), std::logic_error);
+  EXPECT_FALSE(inc.in_transaction());
+  // Later engine writes do not hide the foreign one.
+  inc.set_delay(g, {2.5, 0.0});
+  EXPECT_THROW((void)inc.flush(), std::logic_error);
 }
 
 TEST(IncrementalSpsta, Validation) {
   const Netlist n = netlist::make_s27();
   const netlist::DelayModel d = netlist::DelayModel::unit(n);
-  IncrementalSpsta inc(n, d, std::vector{netlist::scenario_I()});
+  CompiledDesign plan(n, d);
+  IncrementalSpsta inc(plan, std::vector{netlist::scenario_I()});
   EXPECT_THROW(inc.set_delay(static_cast<NodeId>(9999), {1.0, 0.0}),
                std::invalid_argument);
   EXPECT_THROW(inc.set_source_stats(99, netlist::scenario_I()), std::invalid_argument);

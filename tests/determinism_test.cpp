@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/compiled_design.hpp"
 #include "core/incremental_spsta.hpp"
 #include "core/spsta.hpp"
 #include "mc/monte_carlo.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
+#include "service/session.hpp"
 #include "spsta_api.hpp"
 #include "stats/conv_kernels.hpp"
 #include "stats/simd.hpp"
@@ -349,6 +351,53 @@ TEST(Determinism, AnalyzerMatchesLegacyAtOneAndManyThreads) {
   }
 }
 
+void expect_tops_equal(const std::vector<core::NodeTop>& a,
+                       const std::vector<core::NodeTop>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].probs.pr, b[i].probs.pr);
+    ASSERT_EQ(a[i].probs.pf, b[i].probs.pf);
+    ASSERT_EQ(a[i].rise.mass, b[i].rise.mass);
+    ASSERT_EQ(a[i].rise.arrival.mean, b[i].rise.arrival.mean);
+    ASSERT_EQ(a[i].rise.arrival.var, b[i].rise.arrival.var);
+    ASSERT_EQ(a[i].rise.third_central, b[i].rise.third_central);
+    ASSERT_EQ(a[i].fall.mass, b[i].fall.mass);
+    ASSERT_EQ(a[i].fall.arrival.mean, b[i].fall.arrival.mean);
+    ASSERT_EQ(a[i].fall.arrival.var, b[i].fall.arrival.var);
+    ASSERT_EQ(a[i].fall.third_central, b[i].fall.third_central);
+  }
+}
+
+void expect_same_canonical(const core::SpstaCanonicalResult& a,
+                           const core::SpstaCanonicalResult& b) {
+  ASSERT_EQ(a.num_params, b.num_params);
+  ASSERT_EQ(a.node.size(), b.node.size());
+  const auto same_top = [](const core::CanonicalTop& x, const core::CanonicalTop& y) {
+    ASSERT_EQ(x.mass, y.mass);
+    ASSERT_EQ(x.arrival.nominal(), y.arrival.nominal());
+    ASSERT_EQ(x.arrival.residual(), y.arrival.residual());
+    const auto sx = x.arrival.sensitivities();
+    const auto sy = y.arrival.sensitivities();
+    ASSERT_EQ(std::vector(sx.begin(), sx.end()), std::vector(sy.begin(), sy.end()));
+  };
+  for (std::size_t id = 0; id < a.node.size(); ++id) {
+    ASSERT_EQ(a.node[id].probs.pr, b.node[id].probs.pr);
+    ASSERT_EQ(a.node[id].probs.pf, b.node[id].probs.pf);
+    same_top(a.node[id].rise, b.node[id].rise);
+    same_top(a.node[id].fall, b.node[id].fall);
+  }
+}
+
+void expect_same_ssta(const ssta::SstaResult& a, const ssta::SstaResult& b) {
+  ASSERT_EQ(a.arrival.size(), b.arrival.size());
+  for (std::size_t id = 0; id < a.arrival.size(); ++id) {
+    ASSERT_EQ(a.arrival[id].rise.mean, b.arrival[id].rise.mean);
+    ASSERT_EQ(a.arrival[id].rise.var, b.arrival[id].rise.var);
+    ASSERT_EQ(a.arrival[id].fall.mean, b.arrival[id].fall.mean);
+    ASSERT_EQ(a.arrival[id].fall.var, b.arrival[id].fall.var);
+  }
+}
+
 TEST(Determinism, EcoTransactionsProbesAndQueriesAreThreadCountInvariant) {
   // The incremental engine's level-parallel wave (DESIGN.md §17): an
   // interleaved sequence of batched transactions, what-if probes and point
@@ -367,7 +416,8 @@ TEST(Determinism, EcoTransactionsProbesAndQueriesAreThreadCountInvariant) {
 
   // One deterministic interleaved script, replayed per thread count.
   const auto run_script = [&](unsigned threads) {
-    core::IncrementalSpsta inc(n, unit, sources, /*settle_eps=*/0.0);
+    core::CompiledDesign plan(n, unit);
+    core::IncrementalSpsta inc(plan, sources, /*settle_eps=*/0.0);
     inc.set_threads(threads);
     std::vector<core::NodeTop> probed;   // every probe answer, in order
     std::vector<core::NodeTop> queried;  // every point query, in order
@@ -390,23 +440,6 @@ TEST(Determinism, EcoTransactionsProbesAndQueriesAreThreadCountInvariant) {
     return std::tuple(std::move(state), std::move(probed), std::move(queried));
   };
 
-  const auto expect_tops_equal = [](const std::vector<core::NodeTop>& a,
-                                    const std::vector<core::NodeTop>& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i].probs.pr, b[i].probs.pr);
-      ASSERT_EQ(a[i].probs.pf, b[i].probs.pf);
-      ASSERT_EQ(a[i].rise.mass, b[i].rise.mass);
-      ASSERT_EQ(a[i].rise.arrival.mean, b[i].rise.arrival.mean);
-      ASSERT_EQ(a[i].rise.arrival.var, b[i].rise.arrival.var);
-      ASSERT_EQ(a[i].rise.third_central, b[i].rise.third_central);
-      ASSERT_EQ(a[i].fall.mass, b[i].fall.mass);
-      ASSERT_EQ(a[i].fall.arrival.mean, b[i].fall.arrival.mean);
-      ASSERT_EQ(a[i].fall.arrival.var, b[i].fall.arrival.var);
-      ASSERT_EQ(a[i].fall.third_central, b[i].fall.third_central);
-    }
-  };
-
   const auto [state1, probed1, queried1] = run_script(1);
   for (const unsigned threads : {2u, 8u}) {
     const auto [state, probed, queried] = run_script(threads);
@@ -425,8 +458,113 @@ TEST(Determinism, EcoTransactionsProbesAndQueriesAreThreadCountInvariant) {
                              {1.0 + 0.1 * static_cast<double>(k + round), 0.0});
     }
   }
-  core::IncrementalSpsta fresh(n, final_delays, sources, /*settle_eps=*/0.0);
-  expect_tops_equal(state1, fresh.flush());
+  expect_tops_equal(state1, core::run_spsta_moment(n, final_delays, sources).node);
+}
+
+TEST(Determinism, EveryEngineAfterSessionEcoMatchesAFreshAnalyzer) {
+  // One owner for delay state (DESIGN.md §11, §17): after a Session script
+  // of batched delay edits, source edits and probes — with numeric and MC
+  // runs in between, so stale precomputed kernels would show — every
+  // engine on the session's Analyzer is bit-identical to a fresh Analyzer
+  // built on the final delays and sources, at 1, 2 and 8 threads.
+  using EcoEdit = core::IncrementalSpsta::EcoEdit;
+  const netlist::Netlist n = test_circuit();
+  const std::vector<NodeId> endpoints = n.timing_endpoints();
+  const std::size_t num_sources = n.timing_sources().size();
+  std::vector<NodeId> gates;
+  for (NodeId id = 0; id < n.node_count(); ++id) {
+    if (netlist::is_combinational(n.node(id).type)) gates.push_back(id);
+  }
+
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    service::Session session("det", n);
+    const std::lock_guard<std::mutex> lock(session.mutex);
+    session.warm_incremental().set_threads(threads);
+    netlist::DelayModel final_delays = netlist::DelayModel::unit(n);
+    std::vector<netlist::SourceStats> final_sources(num_sources, netlist::scenario_I());
+
+    AnalysisRequest request;
+    request.threads = threads;
+    for (int round = 0; round < 5; ++round) {
+      // Warm the plan's kernel and pattern caches before each batch.
+      request.engine = round % 2 == 0 ? Engine::SpstaNumeric : Engine::Mc;
+      if (request.engine == Engine::Mc) {
+        request.runs = 300;
+        request.seed = 5;
+      }
+      (void)session.analyzer->run(request);
+      request.runs.reset();
+      request.seed.reset();
+
+      std::vector<EcoEdit> batch;
+      for (int k = 0; k < 6; ++k) {
+        const NodeId g = gates[(round * 29 + k * 17) % gates.size()];
+        const stats::Gaussian delay{0.8 + 0.1 * static_cast<double>(k + round),
+                                    0.002 * static_cast<double>(k + 1)};
+        batch.push_back(EcoEdit::delay_edit(g, delay));
+        final_delays.set_delay(g, delay);
+      }
+      netlist::SourceStats source = round % 2 == 0 ? netlist::scenario_II()
+                                                   : netlist::scenario_I();
+      source.rise_arrival = {0.1 * round, 0.5};
+      const std::size_t source_index = (round * 5) % num_sources;
+      batch.push_back(EcoEdit::source_edit(source_index, source));
+      final_sources[source_index] = source;
+      (void)session.apply_eco(batch);
+
+      const std::vector<EcoEdit> what_if{
+          EcoEdit::delay_edit(gates[(round * 13) % gates.size()], {0.6, 0.01}),
+          EcoEdit::source_edit((round + 1) % num_sources, netlist::scenario_II())};
+      (void)session.probe_eco(what_if, endpoints);
+    }
+    // A variance-only edit of an unedited gate, below the largest sigma,
+    // keeps the numeric grid — the kernel cache key — unchanged: only
+    // dropping the kernels keeps the next numeric run off the old delay.
+    request.engine = Engine::SpstaNumeric;
+    (void)session.analyzer->run(request);
+    NodeId quiet = netlist::kInvalidNode;
+    for (const NodeId g : gates) {
+      if (final_delays.delay(g).var == 0.0) quiet = g;
+    }
+    ASSERT_NE(quiet, netlist::kInvalidNode);
+    final_delays.set_delay(quiet, {1.0, 0.001});
+    (void)session.apply_set_delay(quiet, {1.0, 0.001});
+
+    Analyzer fresh(n, final_delays, final_sources);
+    ASSERT_EQ(session.analyzer->content_hash(), fresh.content_hash());
+    expect_tops_equal(session.incremental->flush(),
+                      core::run_spsta_moment(fresh.plan(), final_sources).node);
+    for (const Engine engine : {Engine::SpstaMoment, Engine::SpstaNumeric,
+                                Engine::Canonical, Engine::Ssta, Engine::Mc}) {
+      AnalysisRequest r;
+      r.engine = engine;
+      r.threads = threads;
+      if (engine == Engine::Mc) {
+        r.runs = 1000;
+        r.seed = 2026;
+        r.track_circuit_max = true;
+      }
+      const AnalysisReport got = session.analyzer->run(r);
+      const AnalysisReport want = fresh.run(r);
+      switch (engine) {
+        case Engine::SpstaMoment:
+          expect_tops_equal(got.moment().node, want.moment().node);
+          break;
+        case Engine::SpstaNumeric:
+          expect_same_numeric(got.numeric(), want.numeric());
+          break;
+        case Engine::Canonical:
+          expect_same_canonical(got.canonical(), want.canonical());
+          break;
+        case Engine::Ssta:
+          expect_same_ssta(got.ssta(), want.ssta());
+          break;
+        case Engine::Mc:
+          expect_same_mc(got.monte_carlo(), want.monte_carlo());
+          break;
+      }
+    }
+  }
 }
 
 }  // namespace

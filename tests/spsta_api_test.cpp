@@ -13,6 +13,7 @@
 
 #include "netlist/generator.hpp"
 #include "netlist/netlist.hpp"
+#include "obs/metrics.hpp"
 #include "spsta_api.hpp"
 
 namespace spsta {
@@ -228,9 +229,10 @@ TEST(SpstaApi, EveryEngineMatchesLegacyEntryPoint) {
   }
 }
 
-// set_delay recompiles the plan (content hash moves, results track the
-// new delays); set_source does not (source stats are run inputs, not part
-// of the plan) but results still track the new statistics.
+// set_delay patches the plan's delay model in place (content hash moves,
+// results track the new delays); set_source leaves the plan alone (source
+// stats are run inputs, not part of the plan) but results still track the
+// new statistics.
 TEST(SpstaApi, EcoEditsInvalidateExactlyWhenTheyMust) {
   const netlist::Netlist n = test_circuit();
   netlist::DelayModel d = netlist::DelayModel::unit(n);
@@ -288,6 +290,44 @@ TEST(SpstaApi, EcoEditsInvalidateExactlyWhenTheyMust) {
                std::invalid_argument);
   EXPECT_THROW(analyzer.set_delay(static_cast<NodeId>(n.node_count()), new_delay),
                std::invalid_argument);
+}
+
+// A delay edit never recompiles: the plan is the same object before and
+// after, nothing re-levelizes on the next run, and that run matches a fresh
+// Analyzer on the edited delays.
+TEST(SpstaApi, SetDelayPatchesThePlanInPlace) {
+  const netlist::Netlist n = test_circuit();
+  netlist::DelayModel d = netlist::DelayModel::gaussian(n, 1.0, 0.05);
+  Analyzer analyzer(n, d, {netlist::scenario_I()});
+  const core::CompiledDesign* const plan = &analyzer.plan();
+  const std::uint64_t epoch = plan->delay_epoch();
+
+  NodeId gate = netlist::kInvalidNode;
+  for (NodeId id = 0; id < n.node_count(); ++id) {
+    if (!n.node(id).fanins.empty() && !n.is_timing_source(id)) gate = id;
+  }
+  ASSERT_NE(gate, netlist::kInvalidNode);
+
+  obs::LatencyHistogram& levelize = obs::registry().histogram("stage.levelize");
+  const std::uint64_t levelized = levelize.count();
+  analyzer.set_delay(gate, {2.5, 0.02});
+  AnalysisRequest request;
+  request.engine = Engine::Ssta;
+  const AnalysisReport got = analyzer.run(request);
+  EXPECT_EQ(levelize.count(), levelized);
+  EXPECT_EQ(&analyzer.plan(), plan);
+  EXPECT_EQ(plan->delay_epoch(), epoch + 1);
+  EXPECT_EQ(analyzer.delays().delay(gate).mean, 2.5);
+
+  d.set_delay(gate, {2.5, 0.02});
+  Analyzer fresh(n, d, {netlist::scenario_I()});
+  const AnalysisReport want = fresh.run(request);
+  ASSERT_EQ(got.ssta().arrival.size(), want.ssta().arrival.size());
+  for (std::size_t id = 0; id < got.ssta().arrival.size(); ++id) {
+    ASSERT_EQ(got.ssta().arrival[id].rise.mean, want.ssta().arrival[id].rise.mean);
+    ASSERT_EQ(got.ssta().arrival[id].fall.var, want.ssta().arrival[id].fall.var);
+  }
+  EXPECT_EQ(analyzer.content_hash(), fresh.content_hash());
 }
 
 // Construction guards: the delay model and source list must match the
