@@ -1,6 +1,5 @@
 #include "mc/logic_sim.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace spsta::mc {
@@ -23,7 +22,10 @@ SimValue eval_gate_timed(GateType type, std::span<const SimValue> inputs,
   const bool out_initial = netlist::eval_gate(type, std::span<const bool>(bits, inputs.size()));
 
   // Order the switching inputs by time; then sweep, flipping one bit per
-  // event and tracking the output's last change.
+  // event and tracking the output's last change. Equal times keep input
+  // order (an insertion sort, stable by construction): the raw change
+  // count depends on the order of simultaneous events, so it must not be
+  // left to an unspecified std::sort tie order.
   struct Event {
     double time;
     std::size_t index;
@@ -33,11 +35,12 @@ SimValue eval_gate_timed(GateType type, std::span<const SimValue> inputs,
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const FourValue v = inputs[i].value;
     if (v == FourValue::Rise || v == FourValue::Fall) {
-      events[num_events++] = {inputs[i].time, i};
+      const Event ev{inputs[i].time, i};
+      std::size_t at = num_events++;
+      for (; at > 0 && ev.time < events[at - 1].time; --at) events[at] = events[at - 1];
+      events[at] = ev;
     }
   }
-  std::sort(events, events + num_events,
-            [](const Event& a, const Event& b) { return a.time < b.time; });
 
   bool out_prev = out_initial;
   double last_change = 0.0;

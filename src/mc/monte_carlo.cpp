@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <limits>
 
 #include "core/compiled_design.hpp"
 #include "obs/metrics.hpp"
@@ -11,6 +13,7 @@
 namespace spsta::mc {
 
 using netlist::FourValue;
+using netlist::GateType;
 using netlist::NodeId;
 
 netlist::FourValueProbs NodeEstimate::probs() const noexcept {
@@ -66,17 +69,355 @@ struct ChunkAccum {
   std::vector<std::uint64_t> critical_count;
 };
 
+/// Runs per block: one bit of a machine word per run.
+constexpr std::size_t kLanes = 64;
+/// Gates wider than this are evaluated lane by lane with eval_gate_timed.
+constexpr std::size_t kMaxWordFanin = 16;
+constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Calls f(lane) for every set bit of \p mask, lowest lane (earliest run)
+/// first.
+template <class F>
+void for_each_lane(std::uint64_t mask, F&& f) {
+  while (mask != 0) {
+    f(static_cast<std::size_t>(std::countr_zero(mask)));
+    mask &= mask - 1;
+  }
+}
+
+[[nodiscard]] std::uint64_t lanes_in(std::uint64_t mask) {
+  return static_cast<std::uint64_t>(std::popcount(mask));
+}
+
+/// One chunk's simulator. It runs a block of up to 64 consecutive run
+/// indices at once; lane l of every word carries run `first + l`.
+///  * Four-value logic is two bit-planes per node: plane_[2*id] holds the
+///    initial and plane_[2*id+1] the final value. A lane transitions where
+///    they differ.
+///  * Arrival times live in per-node lane arrays (time_[id*64 + l]),
+///    meaningful only on transitioning lanes. So do the sampled gate
+///    delays, and only when some delay varies.
+/// Every run still draws from its own (seed, run) stream in the order a
+/// run-at-a-time simulation would, and every gate lane computes the double
+/// eval_gate_timed would return, so the results are bitwise those of
+/// simulating one run at a time.
+class BlockSim {
+ public:
+  BlockSim(const core::CompiledDesign& plan,
+           std::span<const netlist::SourceStats> source_stats,
+           std::span<const double> base_rise, std::span<const double> base_fall,
+           bool delays_fixed)
+      : plan_(plan),
+        source_stats_(source_stats),
+        base_rise_(base_rise),
+        base_fall_(base_fall),
+        delays_fixed_(delays_fixed),
+        plane_(2 * plan.node_count(), 0),
+        time_(kLanes * plan.node_count()) {
+    if (!delays_fixed_) {
+      rise_delay_.resize(kLanes * plan.node_count());
+      fall_delay_.resize(kLanes * plan.node_count());
+    }
+    std::size_t max_fanin = 0;
+    for (NodeId id = 0; id < plan.node_count(); ++id) {
+      max_fanin = std::max(max_fanin, plan.fanins(id).size());
+    }
+    inputs_.resize(max_fanin);
+  }
+
+  /// Simulates runs [first, first + lanes); adds their raw edges to \p acc.
+  void simulate(std::uint64_t seed, std::uint64_t first, std::size_t lanes,
+                ChunkAccum& acc) {
+    lanes_ = lanes;
+    valid_ = lanes == kLanes ? kAllLanes : (std::uint64_t{1} << lanes) - 1;
+    draw(seed, first, acc);
+    for (NodeId id : plan_.levelization().order) {
+      if (plan_.combinational(id)) eval_gate(id, acc);
+    }
+  }
+
+  /// Adds the block's observations to \p acc. Counts are popcounts. Every
+  /// order-sensitive accumulator (Welford, histogram, circuit max) is fed
+  /// its samples lane by lane in run order: the sequence a run-at-a-time
+  /// loop feeds it.
+  void accumulate(const MonteCarloConfig& config, ChunkAccum& acc) {
+    for (NodeId id = 0; id < plan_.node_count(); ++id) {
+      const std::uint64_t i = plane_[2 * id];
+      const std::uint64_t f = plane_[2 * id + 1];
+      NodeEstimate& est = acc.node[id];
+      est.count[static_cast<int>(FourValue::Zero)] += lanes_in(~i & ~f & valid_);
+      est.count[static_cast<int>(FourValue::One)] += lanes_in(i & f & valid_);
+      est.count[static_cast<int>(FourValue::Rise)] += lanes_in(~i & f & valid_);
+      est.count[static_cast<int>(FourValue::Fall)] += lanes_in(i & ~f & valid_);
+      const double* t = &time_[id * kLanes];
+      for_each_lane(~i & f & valid_, [&](std::size_t l) { est.rise_time.add(t[l]); });
+      for_each_lane(i & ~f & valid_, [&](std::size_t l) { est.fall_time.add(t[l]); });
+    }
+    const std::span<const NodeId> endpoints = plan_.timing_endpoints();
+    for (std::size_t l = 0; l < lanes_; ++l) {
+      if (acc.histogram) {
+        const NodeId h = *config.histogram_node;
+        if (moves(h, l) && rises(h, l)) acc.histogram->add(time_[h * kLanes + l]);
+      }
+      if (config.track_circuit_max) {
+        bool any = false;
+        double latest = 0.0;
+        NodeId latest_ep = 0;
+        for (NodeId ep : endpoints) {
+          if (!moves(ep, l)) continue;
+          const double t = time_[ep * kLanes + l];
+          if (!any || t > latest) {
+            latest = t;
+            latest_ep = ep;
+          }
+          any = true;
+        }
+        if (any) {
+          acc.circuit_max.add(latest);
+          acc.circuit_max_samples.push_back(latest);
+          ++acc.critical_count[latest_ep];
+        } else {
+          ++acc.quiet_runs;
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] std::uint64_t glitching_gates() const { return glitches_.glitching_gates; }
+  /// Gate lanes handed to eval_gate_timed so far.
+  [[nodiscard]] std::uint64_t sweep_lanes() const { return sweep_lanes_; }
+
+ private:
+  [[nodiscard]] std::uint64_t moves(NodeId id) const {
+    return (plane_[2 * id] ^ plane_[2 * id + 1]) & valid_;
+  }
+  [[nodiscard]] bool moves(NodeId id, std::size_t lane) const {
+    return ((moves(id) >> lane) & 1) != 0;
+  }
+  [[nodiscard]] bool rises(NodeId id, std::size_t lane) const {
+    return ((plane_[2 * id + 1] >> lane) & 1) != 0;
+  }
+
+  void draw(std::uint64_t seed, std::uint64_t first, ChunkAccum& acc) {
+    static constexpr std::array<FourValue, 4> kValues{FourValue::Zero, FourValue::One,
+                                                      FourValue::Rise, FourValue::Fall};
+    const std::span<const NodeId> sources = plan_.timing_sources();
+    const netlist::DelayModel& delays = plan_.delays();
+    for (NodeId src : sources) plane_[2 * src] = plane_[2 * src + 1] = 0;
+    for (std::size_t l = 0; l < lanes_; ++l) {
+      // One RNG stream per run, seeded by (seed, run index): which thread
+      // and which lane execute the run is immaterial to what it draws.
+      stats::Xoshiro256 rng = stats::Xoshiro256::for_stream(seed, first + l);
+      const std::uint64_t bit = std::uint64_t{1} << l;
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        const netlist::SourceStats& st =
+            source_stats_.size() == 1 ? source_stats_[0] : source_stats_[i];
+        const std::array<double, 4> weights{st.probs.p0, st.probs.p1, st.probs.pr,
+                                            st.probs.pf};
+        const NodeId src = sources[i];
+        switch (kValues[rng.categorical(weights)]) {
+          case FourValue::Zero:
+            break;
+          case FourValue::One:
+            plane_[2 * src] |= bit;
+            plane_[2 * src + 1] |= bit;
+            break;
+          case FourValue::Rise:
+            plane_[2 * src + 1] |= bit;
+            time_[src * kLanes + l] =
+                rng.normal(st.rise_arrival.mean, st.rise_arrival.stddev());
+            break;
+          case FourValue::Fall:
+            plane_[2 * src] |= bit;
+            time_[src * kLanes + l] =
+                rng.normal(st.fall_arrival.mean, st.fall_arrival.stddev());
+            break;
+        }
+      }
+      // Re-sample variational gate delays (per direction; only one applies
+      // per gate per cycle, so independent draws are fine).
+      if (!delays_fixed_) {
+        for (NodeId id = 0; id < plan_.node_count(); ++id) {
+          const stats::Gaussian& dr = delays.delay(id, true);
+          const stats::Gaussian& df = delays.delay(id, false);
+          rise_delay_[id * kLanes + l] =
+              dr.var > 0.0 ? rng.normal(dr.mean, dr.stddev()) : dr.mean;
+          fall_delay_[id * kLanes + l] =
+              df.var > 0.0 ? rng.normal(df.mean, df.stddev()) : df.mean;
+        }
+      }
+    }
+    for (NodeId src : sources) acc.node[src].raw_edges += lanes_in(moves(src));
+  }
+
+  /// Evaluates gate \p id on every lane: its two planes, its arrival on
+  /// transitioning lanes, and its raw edges and glitches. Lanes the word
+  /// rules below do not cover go through eval_gate_timed, the one
+  /// definition of the sweep.
+  void eval_gate(NodeId id, ChunkAccum& acc) {
+    const GateType type = plan_.type(id);
+    const std::span<const NodeId> fanins = plan_.fanins(id);
+    std::uint64_t init = 0;
+    std::uint64_t fin = 0;
+    std::uint64_t sweep = 0;
+    std::uint64_t raw = 0;
+    const auto invert = [](bool on) { return on ? kAllLanes : 0; };
+
+    if (fanins.size() > kMaxWordFanin) {
+      sweep = valid_;
+    } else {
+      switch (type) {
+        case GateType::Const1:
+          init = fin = kAllLanes;
+          break;
+        case GateType::Buf:
+        case GateType::Not:
+        case GateType::And:
+        case GateType::Nand:
+        case GateType::Or:
+        case GateType::Nor: {
+          // Fold in the AND domain: OR-family inputs are complemented (De
+          // Morgan), so the controlling value reads 0 and moving toward it
+          // reads as a fall. BUF/NOT are one-input AND/NAND.
+          const std::uint64_t flip =
+              invert(type == GateType::Or || type == GateType::Nor);
+          std::uint64_t all_i = kAllLanes;
+          std::uint64_t all_f = kAllLanes;
+          std::uint64_t no_ctrl = kAllLanes;
+          std::uint64_t rising = 0;
+          std::uint64_t falling = 0;
+          for (NodeId f : fanins) {
+            const std::uint64_t i = plane_[2 * f] ^ flip;
+            const std::uint64_t v = plane_[2 * f + 1] ^ flip;
+            all_i &= i;
+            all_f &= v;
+            no_ctrl &= i | v;
+            rising |= ~i & v;
+            falling |= i & ~v;
+          }
+          // With no static controlling input, lanes whose inputs all move
+          // one way move the output exactly once (Table 1): at the first
+          // input toward the controlling value, at the last one away from
+          // it. Lanes moving both ways may pulse; the sweep decides them.
+          const std::uint64_t m = (all_i ^ all_f) & valid_;
+          sweep = no_ctrl & rising & falling & valid_;
+          for_each_lane(m, [&](std::size_t l) {
+            best_[l] = ((rising >> l) & 1) != 0 ? -kInf : kInf;
+          });
+          for (NodeId f : fanins) {
+            const std::uint64_t i = plane_[2 * f] ^ flip;
+            const std::uint64_t v = plane_[2 * f + 1] ^ flip;
+            const double* t = &time_[f * kLanes];
+            // MAX; on equal times the later input is the later event.
+            for_each_lane(~i & v & m, [&](std::size_t l) {
+              if (!(t[l] < best_[l])) best_[l] = t[l];
+            });
+            // MIN; on equal times the earlier input is the earlier event.
+            for_each_lane(i & ~v & m, [&](std::size_t l) {
+              if (t[l] < best_[l]) best_[l] = t[l];
+            });
+          }
+          raw = lanes_in(m);
+          const std::uint64_t out_flip = flip ^ invert(netlist::is_inverting(type));
+          init = all_i ^ out_flip;
+          fin = all_f ^ out_flip;
+          break;
+        }
+        case GateType::Xor:
+        case GateType::Xnor: {
+          // Every input event flips the output. It settles at the last
+          // switching input when an odd number switch, and it glitches
+          // whenever two or more do (bit-sliced count: once, twice).
+          std::uint64_t once = 0;
+          std::uint64_t twice = 0;
+          for (NodeId f : fanins) {
+            const std::uint64_t sw = moves(f);
+            twice |= once & sw;
+            once |= sw;
+            raw += lanes_in(sw);
+            init ^= plane_[2 * f];
+            fin ^= plane_[2 * f + 1];
+          }
+          const std::uint64_t m = (init ^ fin) & valid_;
+          glitches_.glitching_gates += lanes_in(twice);
+          for_each_lane(m, [&](std::size_t l) { best_[l] = -kInf; });
+          for (NodeId f : fanins) {
+            const double* t = &time_[f * kLanes];
+            for_each_lane(moves(f) & m, [&](std::size_t l) {
+              if (!(t[l] < best_[l])) best_[l] = t[l];
+            });
+          }
+          init ^= invert(type == GateType::Xnor);
+          fin ^= invert(type == GateType::Xnor);
+          break;
+        }
+        default:  // Const0
+          break;
+      }
+    }
+
+    if (sweep != 0) {
+      sweep_lanes_ += lanes_in(sweep);
+      for_each_lane(sweep, [&](std::size_t l) {
+        for (std::size_t k = 0; k < fanins.size(); ++k) {
+          const NodeId f = fanins[k];
+          const bool i = ((plane_[2 * f] >> l) & 1) != 0;
+          const bool v = ((plane_[2 * f + 1] >> l) & 1) != 0;
+          inputs_[k] = {netlist::from_initial_final(i, v),
+                        i != v ? time_[f * kLanes + l] : 0.0};
+        }
+        std::size_t changes = 0;
+        const SimValue out = eval_gate_timed(
+            type, std::span<const SimValue>(inputs_.data(), fanins.size()), &glitches_,
+            &changes);
+        raw += changes;
+        const std::uint64_t bit = std::uint64_t{1} << l;
+        init = netlist::initial_value(out.value) ? init | bit : init & ~bit;
+        fin = netlist::final_value(out.value) ? fin | bit : fin & ~bit;
+        best_[l] = out.time;
+      });
+    }
+
+    plane_[2 * id] = init;
+    plane_[2 * id + 1] = fin;
+    acc.node[id].raw_edges += raw;
+    const std::size_t stride = delays_fixed_ ? 0 : 1;
+    const double* rise = delays_fixed_ ? &base_rise_[id] : &rise_delay_[id * kLanes];
+    const double* fall = delays_fixed_ ? &base_fall_[id] : &fall_delay_[id * kLanes];
+    double* out = &time_[id * kLanes];
+    for_each_lane(moves(id), [&](std::size_t l) {
+      out[l] = best_[l] + (((fin >> l) & 1) != 0 ? rise[l * stride] : fall[l * stride]);
+    });
+  }
+
+  const core::CompiledDesign& plan_;
+  std::span<const netlist::SourceStats> source_stats_;
+  std::span<const double> base_rise_;
+  std::span<const double> base_fall_;
+  bool delays_fixed_;
+
+  std::size_t lanes_ = 0;
+  std::uint64_t valid_ = 0;  ///< lanes carrying a run of this block
+  std::vector<std::uint64_t> plane_;
+  std::vector<double> time_;
+  std::vector<double> rise_delay_;
+  std::vector<double> fall_delay_;
+  std::vector<SimValue> inputs_;  ///< one lane's fanin values for the sweep
+  /// The gate being evaluated: its settled transition time before the gate
+  /// delay, on lanes where it transitions.
+  std::array<double, kLanes> best_{};
+  SimRunStats glitches_;
+  std::uint64_t sweep_lanes_ = 0;
+};
+
 }  // namespace
 
 MonteCarloResult run_monte_carlo(const core::CompiledDesign& plan,
                                  std::span<const netlist::SourceStats> source_stats,
                                  const MonteCarloConfig& config) {
   plan.check_source_stats(source_stats, "run_monte_carlo");
-  const netlist::Netlist& design = plan.design();
   const netlist::DelayModel& delays = plan.delays();
-  const std::span<const NodeId> sources = plan.timing_sources();
-  const netlist::Levelization& levels = plan.levelization();
-  const std::span<const NodeId> endpoints = plan.timing_endpoints();
   const std::size_t node_count = plan.node_count();
 
   MonteCarloResult result;
@@ -92,17 +433,20 @@ MonteCarloResult run_monte_carlo(const core::CompiledDesign& plan,
   std::vector<double> base_rise(node_count);
   std::vector<double> base_fall(node_count);
   bool delays_fixed = true;
+  std::uint64_t gate_count = 0;
   for (NodeId id = 0; id < node_count; ++id) {
     base_rise[id] = delays.delay(id, true).mean;
     base_fall[id] = delays.delay(id, false).mean;
     if (delays.delay(id, true).var > 0.0 || delays.delay(id, false).var > 0.0) {
       delays_fixed = false;
     }
+    if (plan.combinational(id)) ++gate_count;
   }
 
   // Chunk layout: a function of `runs` alone (never of the thread count).
   // At least 256 runs per chunk bounds accumulator memory; at most 32
   // chunks bounds it from the other side while keeping 8+ threads busy.
+  // Inside a chunk, runs go in blocks of 64 (the last one partial).
   static constexpr std::uint64_t kMinChunkRuns = 256;
   static constexpr std::uint64_t kMaxChunks = 32;
   const std::uint64_t chunk_runs =
@@ -111,6 +455,10 @@ MonteCarloResult run_monte_carlo(const core::CompiledDesign& plan,
       config.runs == 0 ? 0
                        : static_cast<std::size_t>((config.runs + chunk_runs - 1) / chunk_runs);
   std::vector<ChunkAccum> chunks(num_chunks);
+
+  // Gate-lane evaluations, and how many of them fell back to the sweep.
+  static obs::Counter& gate_lanes = obs::registry().counter("mc.gate_lanes");
+  static obs::Counter& sweep_lanes = obs::registry().counter("mc.sweep_lanes");
 
   const auto run_chunk = [&](std::size_t c) {
     ChunkAccum& acc = chunks[c];
@@ -121,90 +469,18 @@ MonteCarloResult run_monte_carlo(const core::CompiledDesign& plan,
     }
     if (config.track_circuit_max) acc.critical_count.assign(node_count, 0);
 
-    std::vector<SimValue> source_values(sources.size());
-    std::vector<double> rise_delays = base_rise;
-    std::vector<double> fall_delays = base_fall;
-    std::vector<std::uint32_t> raw_changes;
-
+    BlockSim sim(plan, source_stats, base_rise, base_fall, delays_fixed);
     const std::uint64_t first = static_cast<std::uint64_t>(c) * chunk_runs;
     const std::uint64_t last = std::min(config.runs, first + chunk_runs);
-    for (std::uint64_t run = first; run < last; ++run) {
-      // One RNG stream per run, seeded by (seed, run index): which thread
-      // executes the run is immaterial to what it draws.
-      stats::Xoshiro256 rng = stats::Xoshiro256::for_stream(config.seed, run);
-
-      // Draw source values and transition times.
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        const netlist::SourceStats& st =
-            source_stats.size() == 1 ? source_stats[0] : source_stats[i];
-        const std::array<double, 4> weights{st.probs.p0, st.probs.p1, st.probs.pr,
-                                            st.probs.pf};
-        static constexpr std::array<FourValue, 4> values{
-            FourValue::Zero, FourValue::One, FourValue::Rise, FourValue::Fall};
-        const FourValue v = values[rng.categorical(weights)];
-        SimValue sv;
-        sv.value = v;
-        if (v == FourValue::Rise) {
-          sv.time = rng.normal(st.rise_arrival.mean, st.rise_arrival.stddev());
-        } else if (v == FourValue::Fall) {
-          sv.time = rng.normal(st.fall_arrival.mean, st.fall_arrival.stddev());
-        }
-        source_values[i] = sv;
-      }
-      // Re-sample variational gate delays (per direction; only one applies
-      // per gate per cycle, so independent draws are fine).
-      if (!delays_fixed) {
-        for (NodeId id = 0; id < node_count; ++id) {
-          const stats::Gaussian& dr = delays.delay(id, true);
-          const stats::Gaussian& df = delays.delay(id, false);
-          rise_delays[id] = dr.var > 0.0 ? rng.normal(dr.mean, dr.stddev()) : dr.mean;
-          fall_delays[id] = df.var > 0.0 ? rng.normal(df.mean, df.stddev()) : df.mean;
-        }
-      }
-
-      SimRunStats run_stats;
-      const std::vector<SimValue> value =
-          simulate_once(design, levels, source_values, rise_delays, fall_delays,
-                        &run_stats, &raw_changes);
-      acc.glitching_gates += run_stats.glitching_gates;
-
-      for (NodeId id = 0; id < node_count; ++id) {
-        NodeEstimate& est = acc.node[id];
-        ++est.count[static_cast<int>(value[id].value)];
-        est.raw_edges += raw_changes[id];
-        if (value[id].value == FourValue::Rise) {
-          est.rise_time.add(value[id].time);
-        } else if (value[id].value == FourValue::Fall) {
-          est.fall_time.add(value[id].time);
-        }
-      }
-      if (config.histogram_node && acc.histogram) {
-        const SimValue& v = value[*config.histogram_node];
-        if (v.value == FourValue::Rise) acc.histogram->add(v.time);
-      }
-      if (config.track_circuit_max) {
-        bool any = false;
-        double latest = 0.0;
-        NodeId latest_ep = 0;
-        for (NodeId ep : endpoints) {
-          const SimValue& v = value[ep];
-          if (v.value == FourValue::Rise || v.value == FourValue::Fall) {
-            if (!any || v.time > latest) {
-              latest = v.time;
-              latest_ep = ep;
-            }
-            any = true;
-          }
-        }
-        if (any) {
-          acc.circuit_max.add(latest);
-          acc.circuit_max_samples.push_back(latest);
-          ++acc.critical_count[latest_ep];
-        } else {
-          ++acc.quiet_runs;
-        }
-      }
+    for (std::uint64_t block = first; block < last; block += kLanes) {
+      sim.simulate(config.seed, block,
+                   static_cast<std::size_t>(std::min<std::uint64_t>(kLanes, last - block)),
+                   acc);
+      sim.accumulate(config, acc);
     }
+    acc.glitching_gates = sim.glitching_gates();
+    gate_lanes.add(gate_count * (last - first));
+    sweep_lanes.add(sim.sweep_lanes());
   };
 
   {

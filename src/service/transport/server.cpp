@@ -89,6 +89,7 @@ SocketServerReport SocketServer::serve() {
     if (rc == 0) continue;
     ScopedFd fd(::accept(listen_fd_.get(), nullptr, nullptr));
     if (!fd.valid()) continue;
+    set_no_delay(fd.get());
     connections_.fetch_add(1, std::memory_order_relaxed);
     obs::registry().counter("service.transport.connections").add();
     auto conn = std::make_shared<Connection>();

@@ -144,10 +144,14 @@ ScopedFd tcp_connect(const std::string& host, std::uint16_t port,
           last_error = errno_string("connect");
           return ScopedFd();
         }
-        const int one = 1;
-        ::setsockopt(candidate.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        set_no_delay(candidate.get());
         return candidate;
       });
+}
+
+bool set_no_delay(int fd) {
+  const int one = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
 }
 
 bool write_all(int fd, const void* data, std::size_t size) {

@@ -64,9 +64,16 @@ class ScopedFd {
 [[nodiscard]] ScopedFd tcp_listen(const std::string& host, std::uint16_t port,
                                   std::uint16_t* bound_port, std::string* error);
 
-/// Connects to host:port. Invalid fd + \p error on failure.
+/// Connects to host:port (with TCP_NODELAY set). Invalid fd + \p error on
+/// failure.
 [[nodiscard]] ScopedFd tcp_connect(const std::string& host, std::uint16_t port,
                                    std::string* error);
+
+/// Sets TCP_NODELAY on a connected socket, so a small reply leaves at once
+/// instead of waiting out Nagle's algorithm behind the peer's delayed ACK.
+/// Both ends of every connection set it: tcp_connect on the connecting
+/// side, the accept loop on the accepted one. False if setsockopt fails.
+bool set_no_delay(int fd);
 
 /// Writes all of \p data with write(2) — sockets, pipes and files alike —
 /// looping over partial writes. False on any unrecoverable error (EPIPE,

@@ -3,6 +3,8 @@
 
 #include "mc/logic_sim.hpp"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "netlist/iscas89.hpp"
@@ -128,6 +130,29 @@ TEST(EvalGateTimed, ValueAgreesWithFourValueTable) {
             << to_string(t) << "(" << to_string(a) << "," << to_string(b) << ")";
       }
     }
+  }
+}
+
+TEST(EvalGateTimed, SimultaneousEventsKeepInputOrder) {
+  // Equal times are swept in input order. An AND whose r@1 is listed before
+  // its f@1 sees the output rise then fall (a filtered pulse, 2 raw
+  // changes); listed after it, the output never moves.
+  for (const std::size_t static_ones : {0u, 16u}) {  // 2 and 18 inputs
+    std::vector<SimValue> rise_first(static_ones, sv(One));
+    rise_first.push_back(sv(Rise, 1.0));
+    rise_first.push_back(sv(Fall, 1.0));
+    std::vector<SimValue> fall_first(static_ones, sv(One));
+    fall_first.push_back(sv(Fall, 1.0));
+    fall_first.push_back(sv(Rise, 1.0));
+
+    SimRunStats stats;
+    std::size_t changes = 0;
+    EXPECT_EQ(eval_gate_timed(GateType::And, rise_first, &stats, &changes).value, Zero);
+    EXPECT_EQ(changes, 2u) << rise_first.size() << " inputs";
+    EXPECT_EQ(stats.glitching_gates, 1u);
+    EXPECT_EQ(eval_gate_timed(GateType::And, fall_first, &stats, &changes).value, Zero);
+    EXPECT_EQ(changes, 0u) << fall_first.size() << " inputs";
+    EXPECT_EQ(stats.glitching_gates, 1u);
   }
 }
 

@@ -17,6 +17,9 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include "service/frame.hpp"
 #include "service/json.hpp"
@@ -389,6 +392,27 @@ TEST(ServiceTransport, ConcurrentConnectionsHammerOneSessionKey) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ServiceTransport, BothEndsOfALoopbackConnectionSetNoDelay) {
+  std::uint16_t port = 0;
+  std::string error;
+  const ScopedFd listener = tcp_listen("127.0.0.1", 0, &port, &error);
+  ASSERT_TRUE(listener.valid()) << error;
+  const ScopedFd client = tcp_connect("127.0.0.1", port, &error);
+  ASSERT_TRUE(client.valid()) << error;
+  const ScopedFd accepted(::accept(listener.get(), nullptr, nullptr));
+  ASSERT_TRUE(accepted.valid());
+  const auto no_delay = [](int fd) {
+    int value = 0;
+    socklen_t len = sizeof(value);
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+    return value;
+  };
+  EXPECT_EQ(no_delay(accepted.get()), 0);  // accept(2) does not inherit it
+  ASSERT_TRUE(set_no_delay(accepted.get()));
+  EXPECT_EQ(no_delay(accepted.get()), 1);
+  EXPECT_EQ(no_delay(client.get()), 1);
 }
 
 }  // namespace
