@@ -196,7 +196,7 @@ std::vector<GridSweepPoint> measure_grid_sweep(const std::string& circuit) {
     core::SpstaOptions opts;
     opts.grid_dt = 1e-4;
     opts.max_grid_points = cap;
-    // Warm once (delay kernels, pattern cache, workspace), then best-of —
+    // Warm once (delay kernels, pattern templates, workspace), then best-of —
     // once per dispatch tier; the scalar column is the vectorization
     // roofline (both tiers produce bit-identical results).
     GridSweepPoint p;
@@ -271,7 +271,7 @@ SizeSweepPoint measure_size_point(std::size_t total_gates) {
   out.flat_compile_s = secs(t0, tick());
   core::SpstaResult flat_result;
   double flat_best = 1e300;
-  for (int rep = 0; rep < 2; ++rep) {  // first rep warms the pattern cache
+  for (int rep = 0; rep < 2; ++rep) {  // first rep warms the pattern templates
     t0 = tick();
     flat_result = core::run_spsta_moment(plan, sc);
     flat_best = std::min(flat_best, secs(t0, tick()));
@@ -426,8 +426,8 @@ int main(int argc, char** argv) {
     const double t_spsta = time_of(
         [&] { benchmark::DoNotOptimize(core::run_spsta_moment(n, d, sc)); }, 3);
     // Compile-once/run-many: the plan (levelization, adjacency, delay
-    // span, pattern cache) is built outside the timed region; the first
-    // rep populates the pattern cache, best-of picks a warm rep.
+    // span) is built outside the timed region; best-of picks a warm rep.
+    // Both columns share the process-wide pattern template table.
     const core::CompiledDesign plan(n, d);
     const double t_spsta_warm = time_of(
         [&] { benchmark::DoNotOptimize(core::run_spsta_moment(plan, sc)); }, 5);

@@ -11,10 +11,11 @@
 ///    (one flat array + offsets — the unit of level-parallel dispatch),
 ///  * structure-of-arrays fanin/fanout adjacency (flat index + offset
 ///    arrays instead of chasing per-node `std::vector`s),
-///  * cached timing sources / endpoints and per-node combinational flags,
-///  * a shared `PatternCache` that persists across runs, subsuming the
-///    per-run warm-up the engines used to pay (it is keyed on fanin
-///    probabilities, never on delays).
+///  * cached timing sources / endpoints and per-node combinational flags.
+///
+/// Switch patterns are not part of the plan: they depend only on a gate's
+/// support signature, so the engines share one process-wide template
+/// table across every plan (patterns.hpp).
 ///
 /// The delay model is the only delay state an analysis has: `Analyzer`
 /// and `IncrementalSpsta` both read and edit it here. `set_delay` patches
@@ -23,9 +24,9 @@
 /// the numeric grid's structural delay span and the content hash — are
 /// computed on read, so they can never go stale.
 ///
-/// Thread model: concurrent runs over one plan are safe (the pattern and
-/// kernel caches are internally synchronized, and cached entries are
-/// bit-identical to recomputation). `set_delay` must not race a run.
+/// Thread model: concurrent runs over one plan are safe (the kernel cache
+/// is internally synchronized, and cached entries are bit-identical to
+/// recomputation). `set_delay` must not race a run.
 ///
 /// Every engine gains a `run_*(const CompiledDesign&, ...)` overload that
 /// skips all structural work; the legacy `(Netlist, DelayModel, ...)`
@@ -41,7 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/pattern_cache.hpp"
 #include "netlist/delay_model.hpp"
 #include "netlist/four_value.hpp"
 #include "netlist/levelize.hpp"
@@ -95,8 +95,8 @@ class CompiledDesign {
 
   /// Sets one node's common delay (clearing its per-direction overrides,
   /// as DelayModel::set_delay does), bumps delay_epoch() and drops the
-  /// precomputed delay kernels. Topology, adjacency and the pattern cache
-  /// are untouched. Throws std::invalid_argument for a bad id. Must not
+  /// precomputed delay kernels. Topology and adjacency are untouched.
+  /// Throws std::invalid_argument for a bad id. Must not
   /// race a run over this plan.
   void set_delay(netlist::NodeId id, const stats::Gaussian& delay);
   /// Number of set_delay calls so far — lets a reader that caches
@@ -160,12 +160,6 @@ class CompiledDesign {
       std::span<const netlist::SourceStats> source_stats,
       const SpstaOptions& options) const;
 
-  // -- Shared switch-pattern cache -------------------------------------
-  /// Exact-key pattern cache shared by every run over this plan. Warm
-  /// requests skip enumeration entirely; exact keys keep hits bit-identical
-  /// to recomputation (see pattern_cache.hpp).
-  [[nodiscard]] PatternCache& pattern_cache() const noexcept { return pattern_cache_; }
-
   // -- Precomputed delay kernels ---------------------------------------
   /// Discretized Gaussian delay kernels for every combinational node on
   /// grid step \p dt (sigmas fixed at 8.0 — the engine's tail coverage),
@@ -219,8 +213,6 @@ class CompiledDesign {
   std::vector<netlist::NodeId> timing_endpoints_;
 
   std::uint64_t delay_epoch_ = 0;
-
-  mutable PatternCache pattern_cache_{PatternCache::kExactKeys};
 
   mutable std::mutex kernel_mutex_;
   /// Keyed on (bit pattern of dt, grid_n) — exact match, no tolerance

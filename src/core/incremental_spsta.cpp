@@ -147,8 +147,7 @@ IncrementalSpsta::CommitStats IncrementalSpsta::propagate_wave(
       const bool probed = edited != overlay.end() && edited->first == id;
       wave_tops_[k] = propagate_node_top(
           plan_, id, state_, probed ? edited->second : plan_.delays().delay(id, true),
-          probed ? edited->second : plan_.delays().delay(id, false),
-          &plan_.pattern_cache());
+          probed ? edited->second : plan_.delays().delay(id, false));
       wave_changed_[k] = nearly_equal(wave_tops_[k], state_[id], settle_eps_) ? 0 : 1;
     };
     if (pool_ != nullptr && threads_ > 1 && n >= kParallelGrain) {

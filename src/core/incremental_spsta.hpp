@@ -88,7 +88,7 @@ class IncrementalSpsta {
   };
 
   /// Runs the initial full analysis (run_spsta_moment over \p plan — the
-  /// same kernel and pattern cache every later wave uses). \p settle_eps
+  /// same kernel every later wave uses). \p settle_eps
   /// controls early stopping: 0 demands exact (bitwise) settlement, making
   /// every update sequence bit-identical to a fresh full run — the mode
   /// the analysis service uses so ECO re-queries match cold re-analysis

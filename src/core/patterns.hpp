@@ -12,9 +12,18 @@
 /// the paper quotes. A 12-input gate whose inputs are static (or have any
 /// pruned four-values) enumerates in milliseconds instead of walking all
 /// 4^12 codes.
+///
+/// The scenario *structure* — which patterns exist, in which order, and
+/// which pattern each joint assignment lands in — depends only on the
+/// gate's support signature: its type plus, per input, which four-values
+/// have nonzero probability. A process-wide table memoizes that structure
+/// per signature as a template; the weights are replayed from it on every
+/// call, hit or miss, with the same products in the same order as the
+/// direct walk, so results are bitwise independent of the table's state.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -44,15 +53,45 @@ struct SwitchPattern {
 };
 
 /// Enumerates all output-transition scenarios of \p type under the given
-/// independent input four-value probabilities. Zero-weight scenarios are
-/// dropped. Throws std::invalid_argument for more than 16 inputs, or when
+/// independent input four-value probabilities into \p out (overwritten;
+/// its capacity is reused, so a caller-owned scratch vector makes
+/// steady-state calls allocation-free). Patterns come in ascending
+/// (switching_mask, rising_mask, output_rising) order. A scenario appears
+/// iff some joint assignment of the inputs' nonzero-probability values
+/// produces it, so its weight is positive unless the product of tiny
+/// probabilities underflows to 0.0 — such zero-weight patterns are kept.
+/// Const0/Const1 gates and inputs with an all-zero distribution yield no
+/// patterns. Throws std::invalid_argument for more than 16 inputs, or when
 /// the joint nonzero-probability support exceeds 2^26 assignments (a dense
 /// fanin-14+ gate) — previously such gates silently iterated for minutes.
 ///
 /// Invariants (tested):
 ///   sum of weights over rising scenarios  == gate_four_value(...).pr
 ///   sum of weights over falling scenarios == gate_four_value(...).pf
+void enumerate_switch_patterns(netlist::GateType type,
+                               std::span<const netlist::FourValueProbs> inputs,
+                               std::vector<SwitchPattern>& out);
+
+/// Convenience overload returning a fresh vector.
 [[nodiscard]] std::vector<SwitchPattern> enumerate_switch_patterns(
     netlist::GateType type, std::span<const netlist::FourValueProbs> inputs);
+
+/// Byte budget of the process-wide template table: 200 never-seen
+/// 5000-gate generated designs fill 2574 templates in 0.8 MB, so 32 MiB is
+/// about 40x what real designs need while still bounding a long-running
+/// process fed arbitrary wide gates. Templates built past the budget are
+/// replayed and discarded.
+inline constexpr std::size_t kPatternTableBudgetBytes = std::size_t{32} << 20;
+
+/// Occupancy and traffic of the template table since process start.
+struct PatternTableStats {
+  std::size_t entries = 0;     ///< stored templates
+  std::size_t bytes = 0;       ///< estimated heap bytes of stored templates (<= budget)
+  std::uint64_t hits = 0;      ///< lookups that found a stored template
+  std::uint64_t misses = 0;    ///< lookups that built a template
+  std::uint64_t unstored = 0;  ///< misses not stored because the budget was full
+};
+
+[[nodiscard]] PatternTableStats pattern_table_stats();
 
 }  // namespace spsta::core

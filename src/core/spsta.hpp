@@ -33,7 +33,6 @@ class ThreadPool;
 namespace spsta::core {
 
 class CompiledDesign;
-class PatternCache;
 
 /// Moment-form t.o.p. of one transition direction: occurrence probability
 /// plus the conditional arrival-time moments.
@@ -90,19 +89,6 @@ struct SpstaOptions {
   /// threads). Nodes within one levelization level are independent, so
   /// results are bit-identical at any thread count.
   unsigned threads = 1;
-  /// Memoize switch-pattern enumeration keyed on (gate type, quantized
-  /// fanin probs). Cached patterns are computed from the quantized probs,
-  /// so results are reproducible at any thread count regardless of which
-  /// thread populates an entry first.
-  bool use_pattern_cache = true;
-  /// Quantization step for pattern-cache keys. 0 (default) keys on exact
-  /// bit patterns — bitwise identical to uncached enumeration; a positive
-  /// quantum (e.g. PatternCache::kCoarseQuantum) trades error bounded by
-  /// quantum/2 per probability for additional near-miss hits.
-  double pattern_quantum = 0.0;
-  /// Optional cache shared across runs/engines; when null and
-  /// use_pattern_cache is set, each run builds its own.
-  PatternCache* shared_pattern_cache = nullptr;
   /// Optional long-lived pool (e.g. the Analyzer's); when set it overrides
   /// `threads` for dispatch and the run spawns no threads of its own. The
   /// pool must be idle (ThreadPool runs one job at a time).
@@ -116,9 +102,9 @@ struct SpstaOptions {
 
 /// Runs the moment engine on a precompiled plan — the warm path that skips
 /// all structural work. \p source_stats follows plan.timing_sources()
-/// order (single element broadcasts). With the default exact-key settings
-/// the run shares the plan's switch-pattern cache, so repeated runs skip
-/// pattern enumeration too; results are bit-identical either way.
+/// order (single element broadcasts). Switch patterns come from the
+/// process-wide template table (patterns.hpp), so repeated gate signatures
+/// skip enumeration; results are bit-identical either way.
 [[nodiscard]] SpstaResult run_spsta_moment(
     const CompiledDesign& plan, std::span<const netlist::SourceStats> source_stats,
     const SpstaOptions& options = {});
@@ -130,7 +116,7 @@ struct SpstaOptions {
     const netlist::Netlist& design, const netlist::DelayModel& delays,
     std::span<const netlist::SourceStats> source_stats);
 
-/// Moment engine with explicit options (threads / pattern cache; the grid
+/// Moment engine with explicit options (threads / shared pool; the grid
 /// fields are ignored — the Analyzer facade rejects requests that set
 /// them for this engine). The no-options overload uses defaults.
 [[nodiscard]] SpstaResult run_spsta_moment(
@@ -142,15 +128,11 @@ struct SpstaOptions {
 /// \p fall_delay — the single-node kernel shared by the batch and
 /// incremental moment engines. The delays are arguments, not read from
 /// the plan, so a caller can evaluate under edits it has not written
-/// (IncrementalSpsta's probe). \p cache (nullable) memoizes pattern
-/// enumeration: repeated recomputations of a node whose fanin
-/// probabilities are unchanged skip it, and exact keys keep hits
-/// bit-identical to recomputation.
+/// (IncrementalSpsta's probe).
 [[nodiscard]] NodeTop propagate_node_top(const CompiledDesign& plan, netlist::NodeId id,
                                          std::span<const NodeTop> state,
                                          const stats::Gaussian& rise_delay,
-                                         const stats::Gaussian& fall_delay,
-                                         PatternCache* cache);
+                                         const stats::Gaussian& fall_delay);
 
 /// Runs the numeric engine on a precompiled plan: the grid comes from the
 /// plan's structural delay span (bit-identical to the legacy per-run

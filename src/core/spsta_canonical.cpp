@@ -106,6 +106,7 @@ SpstaCanonicalResult run_spsta_canonical(const CompiledDesign& plan,
   }
 
   std::vector<FourValueProbs> fanin_probs;
+  std::vector<SwitchPattern> patterns;
   for (NodeId id : plan.levelization().order) {
     if (!plan.combinational(id)) continue;
     const netlist::GateType type = plan.type(id);
@@ -122,11 +123,9 @@ SpstaCanonicalResult run_spsta_canonical(const CompiledDesign& plan,
       continue;
     }
 
-    // The plan's exact-key cache memoizes enumeration across runs; a hit
-    // is bit-identical to recomputation (see pattern_cache.hpp).
-    const PatternCache::Patterns patterns = plan.pattern_cache().get(type, fanin_probs);
+    enumerate_switch_patterns(type, fanin_probs, patterns);
     std::vector<std::pair<double, CanonicalForm>> rise_mix, fall_mix;
-    for (const SwitchPattern& p : *patterns) {
+    for (const SwitchPattern& p : patterns) {
       CanonicalForm arrival = fold_arrivals(p, result.node, fanins);
       (p.output_rising ? rise_mix : fall_mix).emplace_back(p.weight, std::move(arrival));
     }

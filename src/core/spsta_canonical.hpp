@@ -57,8 +57,8 @@ struct SpstaCanonicalResult {
 
 /// Runs the canonical-form engine on a precompiled plan (implementation-
 /// level; application code goes through the Analyzer facade in
-/// spsta_api.hpp). Warm runs reuse the plan's levelization and
-/// switch-pattern cache; results are bit-identical to the legacy overload.
+/// spsta_api.hpp). Warm runs reuse the plan's levelization; results are
+/// bit-identical to the legacy overload.
 [[nodiscard]] SpstaCanonicalResult run_spsta_canonical(
     const CompiledDesign& plan, std::span<const netlist::SourceStats> source_stats);
 

@@ -1,7 +1,6 @@
 #include <cmath>
 
 #include "core/compiled_design.hpp"
-#include "core/pattern_cache.hpp"
 #include "core/patterns.hpp"
 #include "core/spsta.hpp"
 #include "obs/metrics.hpp"
@@ -61,44 +60,24 @@ Gaussian fold_arrivals(const SwitchPattern& p, std::span<const NodeTop> node,
   return acc;
 }
 
-/// Cache selection shared by both engines' compiled runs: an explicit
-/// shared cache wins; the default exact-key configuration reuses the
-/// plan's persistent cache (hits are bit-identical to recomputation); a
-/// custom quantum falls back to \p local so the plan's exact-key entries
-/// are never mixed with quantized ones.
-PatternCache* select_cache(const CompiledDesign& plan, const SpstaOptions& options,
-                           PatternCache& local) {
-  if (options.shared_pattern_cache != nullptr) return options.shared_pattern_cache;
-  if (!options.use_pattern_cache) return nullptr;
-  if (options.pattern_quantum == PatternCache::kExactKeys) return &plan.pattern_cache();
-  return &local;
-}
-
 }  // namespace
 
 NodeTop propagate_node_top(const CompiledDesign& plan, NodeId id,
                            std::span<const NodeTop> state, const Gaussian& rise_delay,
-                           const Gaussian& fall_delay, PatternCache* cache) {
+                           const Gaussian& fall_delay) {
   const netlist::GateType type = plan.type(id);
   const std::span<const NodeId> fanins = plan.fanins(id);
   NodeTop top;
-  std::vector<FourValueProbs> fanin_probs;
-  fanin_probs.reserve(fanins.size());
+  // Per-thread scratch: steady-state evaluation allocates nothing here.
+  thread_local std::vector<FourValueProbs> fanin_probs;
+  thread_local std::vector<SwitchPattern> patterns;
+  fanin_probs.clear();
   for (NodeId f : fanins) fanin_probs.push_back(state[f].probs);
   top.probs = sigprob::gate_four_value(type, fanin_probs);
 
   if (fanins.empty()) return top;  // constants: no transitions
 
-  PatternCache::Patterns cached;
-  std::vector<SwitchPattern> owned;
-  if (cache != nullptr) {
-    cached = cache->get(type, fanin_probs);
-  } else {
-    owned = enumerate_switch_patterns(type, fanin_probs);
-  }
-  const std::span<const SwitchPattern> patterns =
-      cache != nullptr ? std::span<const SwitchPattern>(*cached)
-                       : std::span<const SwitchPattern>(owned);
+  enumerate_switch_patterns(type, fanin_probs, patterns);
   stats::GaussianMixture rise_mix, fall_mix;
   for (const SwitchPattern& p : patterns) {
     const Gaussian arrival = fold_arrivals(p, state, fanins);
@@ -132,9 +111,6 @@ SpstaResult run_spsta_moment(const CompiledDesign& plan,
     top.fall = {top.probs.pf, st.fall_arrival};
   }
 
-  PatternCache local_cache(options.pattern_quantum);
-  PatternCache* const cache = select_cache(plan, options, local_cache);
-
   // Level-parallel propagation: nodes of one level depend only on strictly
   // lower levels, so they evaluate concurrently and each writes its own
   // slot — bit-identical results at any thread count.
@@ -151,7 +127,7 @@ SpstaResult run_spsta_moment(const CompiledDesign& plan,
       if (!plan.combinational(id)) return;
       result.node[id] =
           propagate_node_top(plan, id, result.node, plan.delays().delay(id, true),
-                             plan.delays().delay(id, false), cache);
+                             plan.delays().delay(id, false));
     });
   }
   return result;

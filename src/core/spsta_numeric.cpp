@@ -2,7 +2,6 @@
 #include <memory>
 
 #include "core/compiled_design.hpp"
-#include "core/pattern_cache.hpp"
 #include "core/patterns.hpp"
 #include "core/spsta.hpp"
 #include "obs/metrics.hpp"
@@ -36,16 +35,6 @@ void cumulative_into(std::span<const double> v, double dt, std::span<double> c) 
   }
 }
 
-/// Same selection policy as the moment engine (see spsta_moment.cpp):
-/// explicit shared cache > plan cache at exact keys > quantized local.
-PatternCache* select_cache(const CompiledDesign& plan, const SpstaOptions& options,
-                           PatternCache& local) {
-  if (options.shared_pattern_cache != nullptr) return options.shared_pattern_cache;
-  if (!options.use_pattern_cache) return nullptr;
-  if (options.pattern_quantum == PatternCache::kExactKeys) return &plan.pattern_cache();
-  return &local;
-}
-
 }  // namespace
 
 SpstaNumericResult run_spsta_numeric(const CompiledDesign& plan,
@@ -76,9 +65,6 @@ SpstaNumericResult run_spsta_numeric(const CompiledDesign& plan,
     top.fall = PiecewiseDensity::from_gaussian(st.fall_arrival, result.grid, top.probs.pf);
   }
 
-  PatternCache local_cache(options.pattern_quantum);
-  PatternCache* const cache = select_cache(plan, options, local_cache);
-
   // Every combinational node's SUM-with-delay operator, discretized once
   // per grid step, deduplicated across nodes, with FFT half-spectra
   // precomputed for this grid size — shared across patterns, runs, and
@@ -99,22 +85,14 @@ SpstaNumericResult run_spsta_numeric(const CompiledDesign& plan,
 
     NodeTopDensity& top = result.node[id];
     thread_local std::vector<FourValueProbs> fanin_probs;
+    thread_local std::vector<SwitchPattern> patterns;
     fanin_probs.clear();
     for (NodeId f : fanins) fanin_probs.push_back(result.node[f].probs);
     top.probs = sigprob::gate_four_value(type, fanin_probs);
 
     if (fanins.empty()) return;  // constants: zero densities stay
 
-    PatternCache::Patterns cached;
-    std::vector<SwitchPattern> owned;
-    if (cache != nullptr) {
-      cached = cache->get(type, fanin_probs);
-    } else {
-      owned = enumerate_switch_patterns(type, fanin_probs);
-    }
-    const std::span<const SwitchPattern> patterns =
-        cache != nullptr ? std::span<const SwitchPattern>(*cached)
-                         : std::span<const SwitchPattern>(owned);
+    enumerate_switch_patterns(type, fanin_probs, patterns);
 
     // Resolve the thread's arena and the SIMD tier once per node, then
     // pass both through every kernel call — no thread_local or dispatch

@@ -113,8 +113,8 @@ std::shared_ptr<const CompiledBlock> BlockLibrary::intern(const netlist::Netlist
   const auto it = blocks_.find(key);
   if (it != blocks_.end()) {
     if (auto alive = it->second.lock()) {
-      // A concurrent intern won the compile race; share its plan (and its
-      // warm pattern cache) rather than keeping a duplicate.
+      // A concurrent intern won the compile race; share its plan rather
+      // than keeping a duplicate.
       hits_.fetch_add(1, std::memory_order_relaxed);
       obs::registry().counter("hier.block_library.hits").add();
       return alive;

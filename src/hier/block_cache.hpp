@@ -99,9 +99,9 @@ struct CompiledBlock {
 };
 
 /// Content-hash-interned compiled blocks: two hierarchies (or two service
-/// sessions) whose blocks serialize identically share ONE plan and one
-/// switch-pattern cache. Never evicts on its own — entries die when the
-/// last hierarchy using them releases its shared_ptr.
+/// sessions) whose blocks serialize identically share ONE plan. Never
+/// evicts on its own — entries die when the last hierarchy using them
+/// releases its shared_ptr.
 class BlockLibrary {
  public:
   /// Interns \p block under its serialized content (unit delay model).

@@ -89,8 +89,7 @@ struct BlockTimingModel {
 /// The exact-match model cache key: block content hash, engine, the
 /// engine's grid options (numeric only), and the bit patterns of every
 /// normalized source statistic. Bitwise matching keeps a cache hit
-/// bit-identical to re-extraction — the same philosophy as the exact-key
-/// switch-pattern cache.
+/// bit-identical to re-extraction.
 [[nodiscard]] std::uint64_t model_signature(
     std::uint64_t block_hash, Engine engine, const core::SpstaOptions& options,
     std::span<const netlist::SourceStats> normalized_sources) noexcept;

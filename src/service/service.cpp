@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/patterns.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/graph.hpp"
 #include "netlist/hier_bench_io.hpp"
@@ -538,7 +539,7 @@ Response AnalysisService::handle_load(const Request& request) {
     }
   };
 
-  const auto [session, fresh] = store_.load(hash, make_design, &pattern_cache_);
+  const auto [session, fresh] = store_.load(hash, make_design);
   Json result = Json::object();
   result.set("session", Json(session->key));
   result.set("name", Json(session->display_name));
@@ -1026,11 +1027,18 @@ Response AnalysisService::handle_stats(const Request& request) {
     result.set("plan_cache", std::move(store));
   }
 
-  Json pattern = Json::object();
-  pattern.set("entries", Json(pattern_cache_.size()));
-  pattern.set("hits", Json(pattern_cache_.hits()));
-  pattern.set("misses", Json(pattern_cache_.misses()));
-  result.set("pattern_cache", std::move(pattern));
+  {
+    // The process-wide switch-pattern template table (core/patterns.hpp).
+    const core::PatternTableStats table = core::pattern_table_stats();
+    Json pattern = Json::object();
+    pattern.set("entries", Json(table.entries));
+    pattern.set("bytes", Json(table.bytes));
+    pattern.set("budget_bytes", Json(core::kPatternTableBudgetBytes));
+    pattern.set("hits", Json(table.hits));
+    pattern.set("misses", Json(table.misses));
+    pattern.set("unstored", Json(table.unstored));
+    result.set("pattern_cache", std::move(pattern));
+  }
 
   {
     const std::lock_guard<std::mutex> lock(usage_mutex_);

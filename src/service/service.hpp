@@ -24,7 +24,6 @@
 #include <string>
 #include <string_view>
 
-#include "core/pattern_cache.hpp"
 #include "hier/block_cache.hpp"
 #include "service/protocol.hpp"
 #include "service/session.hpp"
@@ -87,7 +86,6 @@ class AnalysisService {
 
   [[nodiscard]] const SessionStore& store() const noexcept { return store_; }
   [[nodiscard]] SessionStore& store() noexcept { return store_; }
-  [[nodiscard]] core::PatternCache& pattern_cache() noexcept { return pattern_cache_; }
   [[nodiscard]] hier::BlockModelCache& block_models() noexcept { return block_models_; }
   [[nodiscard]] hier::BlockLibrary& block_library() noexcept { return block_library_; }
 
@@ -136,7 +134,6 @@ class AnalysisService {
   void record_engine_run(Engine engine, double seconds);
 
   SessionStore store_;
-  core::PatternCache pattern_cache_;   ///< shared across sessions and engines
   hier::BlockModelCache block_models_; ///< extracted port models, shared across hier sessions
   hier::BlockLibrary block_library_;   ///< compiled blocks interned by content
 

@@ -31,22 +31,20 @@ std::optional<std::uint64_t> parse_hash_key(std::string_view key) noexcept {
   return h;
 }
 
-Session::Session(std::string key_, netlist::Netlist design_,
-                 core::PatternCache* shared_pattern_cache)
+Session::Session(std::string key_, netlist::Netlist design_)
     : key(std::move(key_)), display_name(design_.name()) {
   // Built in the body, not the init list: the delay model and the expanded
   // source vector both read `design_` before it is moved into the Analyzer.
   netlist::DelayModel delays = netlist::DelayModel::unit(design_);
   std::vector<netlist::SourceStats> sources(design_.timing_sources().size(),
                                             netlist::scenario_I());
-  AnalyzerOptions options;
-  options.shared_pattern_cache = shared_pattern_cache;
   // The Analyzer compiles its plan here, outside any store lock, so every
   // analyze (from any client of this content hash) starts warm.
   analyzer = std::make_unique<Analyzer>(std::move(design_), std::move(delays),
-                                        std::move(sources), options);
-  // Footprint estimate: levelization/adjacency arenas, delay span, pattern
-  // cache share and one resident result all scale with node count.
+                                        std::move(sources));
+  // Footprint estimate: levelization/adjacency arenas, delay span and one
+  // resident result all scale with node count. Switch patterns live in the
+  // process-wide template table, bounded on its own (core/patterns.hpp).
   approx_bytes = 4096 + design().node_count() * 1024;
 }
 
@@ -124,13 +122,10 @@ core::IncrementalSpsta::CommitStats Session::apply_set_source(
 }
 
 std::pair<std::shared_ptr<Session>, bool> SessionStore::load(
-    std::uint64_t content_hash, const DesignFactory& make_design,
-    core::PatternCache* shared_pattern_cache) {
-  return load(content_hash,
-              [&make_design, shared_pattern_cache](const std::string& key) {
-                return std::make_shared<Session>(key, make_design(),
-                                                 shared_pattern_cache);
-              });
+    std::uint64_t content_hash, const DesignFactory& make_design) {
+  return load(content_hash, [&make_design](const std::string& key) {
+    return std::make_shared<Session>(key, make_design());
+  });
 }
 
 std::pair<std::shared_ptr<Session>, bool> SessionStore::load(

@@ -123,13 +123,10 @@ struct Session {
 
   mutable std::mutex mutex;
 
-  /// \p shared_pattern_cache (nullable) is the service's process-wide
-  /// switch-pattern cache, shared across sessions. The constructor
-  /// compiles the analysis plan eagerly — Session construction IS the
-  /// expensive step the store's latch protects, and the first analyze
-  /// against the session finds the plan already warm.
-  Session(std::string key_, netlist::Netlist design_,
-          core::PatternCache* shared_pattern_cache = nullptr);
+  /// The constructor compiles the analysis plan eagerly — Session
+  /// construction IS the expensive step the store's latch protects, and
+  /// the first analyze against the session finds the plan already warm.
+  Session(std::string key_, netlist::Netlist design_);
 
   /// Hierarchical session: owns a HierAnalyzer over \p design_. Block
   /// compilation (through the shared library in \p hier_options) is the
@@ -215,11 +212,9 @@ class SessionStore {
   /// (waiters retry, one becomes the next builder) and the exception
   /// propagates to this caller only.
   ///
-  /// \p shared_pattern_cache seeds fresh sessions' analyzers.
   /// Returns {session, freshly_created}.
-  std::pair<std::shared_ptr<Session>, bool> load(
-      std::uint64_t content_hash, const DesignFactory& make_design,
-      core::PatternCache* shared_pattern_cache = nullptr);
+  std::pair<std::shared_ptr<Session>, bool> load(std::uint64_t content_hash,
+                                                 const DesignFactory& make_design);
 
   /// Session by key; nullptr when absent or still being built. A hit
   /// refreshes the session's LRU position.

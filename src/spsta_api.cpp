@@ -138,7 +138,6 @@ AnalysisReport Analyzer::run(const AnalysisRequest& request) {
     case Engine::SpstaNumeric: {
       core::SpstaOptions opts;
       opts.threads = threads;
-      opts.shared_pattern_cache = options_.shared_pattern_cache;
       std::unique_lock<std::mutex> pool_lock;
       opts.shared_pool = acquire_pool(threads, pool_lock);
       if (request.engine == Engine::SpstaNumeric) {

@@ -3,9 +3,9 @@
 ///
 /// An `Analyzer` owns a design (netlist + source statistics) and the
 /// `CompiledDesign` analysis plan derived from it — levelization, arena
-/// adjacency, switch-pattern cache and the delay model — compiled once at
-/// construction and reused by every subsequent run, so repeated analyses
-/// touch zero structural code. Delay edits patch the plan in place. A
+/// adjacency and the delay model — compiled once at construction and
+/// reused by every subsequent run, so repeated analyses touch zero
+/// structural code. Delay edits patch the plan in place. A
 /// single `AnalysisRequest` selects any engine (moment / numeric /
 /// canonical SPSTA, block-based SSTA, the Monte Carlo ground truth) and
 /// `run()` returns a unified `AnalysisReport`. Requests are validated
@@ -130,14 +130,10 @@ struct AnalyzerOptions {
   /// Default worker threads for requests that leave `threads` unset
   /// (0 = all hardware threads).
   unsigned threads = 1;
-  /// Optional pattern cache shared across Analyzers (e.g. the service's
-  /// process-wide cache); when null each plan uses its own.
-  core::PatternCache* shared_pattern_cache = nullptr;
 };
 
 /// The unified analysis entry point: owns the design, its compiled plan,
-/// and the execution resources shared across runs (switch-pattern cache
-/// via the plan, thread pool).
+/// and the execution resources shared across runs (the thread pool).
 ///
 /// Thread model: `run()` is safe to call concurrently — runs only read
 /// the plan; concurrent runs that contend for the shared pool fall back to

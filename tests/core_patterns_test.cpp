@@ -4,6 +4,12 @@
 
 #include "core/patterns.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <map>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -161,6 +167,249 @@ TEST(Patterns, ImpossibleInputYieldsNoPatterns) {
   std::vector<FourValueProbs> inputs{FourValueProbs{0.0, 0.0, 0.0, 0.0},
                                      FourValueProbs{0.25, 0.25, 0.25, 0.25}};
   EXPECT_TRUE(enumerate_switch_patterns(GateType::And, inputs).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Template replay vs the direct enumeration it replaced.
+//
+// reference_enumerate is the accumulate-by-key walker the template table
+// replaced, kept here as the oracle: a depth-first walk over each input's
+// nonzero four-values in (0, 1, R, F) order with prefix products, `+=` into
+// a per-key accumulator at every transitioning leaf, keys emitted in
+// ascending (switching, rising, output_rising) order. The output rule goes
+// through eval_gate at every leaf, independent of the family shortcuts.
+
+SettleOp reference_op(GateType type, const SwitchPattern& p) {
+  const bool all_rising = p.rising_mask == p.switching_mask;
+  const bool all_falling = p.rising_mask == 0;
+  if (!(all_rising || all_falling) || !netlist::has_controlling_value(type)) {
+    return SettleOp::Max;
+  }
+  return all_rising == netlist::controlling_value(type) ? SettleOp::Min : SettleOp::Max;
+}
+
+std::vector<SwitchPattern> reference_enumerate(GateType type,
+                                               std::span<const FourValueProbs> inputs) {
+  using netlist::FourValue;
+  const std::size_t n = inputs.size();
+  if (n > 16) {
+    throw std::invalid_argument("enumerate_switch_patterns: fanin > 16 unsupported");
+  }
+  if (type == GateType::Const0 || type == GateType::Const1) return {};
+  constexpr FourValue kValues[4] = {FourValue::Zero, FourValue::One, FourValue::Rise,
+                                    FourValue::Fall};
+  std::vector<std::vector<std::pair<FourValue, double>>> support(n);
+  std::size_t combos = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (FourValue v : kValues) {
+      if (inputs[i].prob(v) > 0.0) support[i].emplace_back(v, inputs[i].prob(v));
+    }
+    if (support[i].empty()) return {};
+    if (combos > (std::size_t{1} << 26) / support[i].size()) {
+      throw std::invalid_argument(
+          "enumerate_switch_patterns: joint input support exceeds 2^26 "
+          "assignments; reduce fanin or prune input probabilities");
+    }
+    combos *= support[i].size();
+  }
+
+  std::map<std::tuple<std::uint32_t, std::uint32_t, bool>, double> acc;
+  std::vector<FourValue> assignment(n);
+  const auto walk = [&](const auto& self, std::size_t i, double weight) -> void {
+    if (i == n) {
+      std::array<bool, 16> vi{}, vf{};
+      std::uint32_t switching = 0, rising = 0;
+      for (std::size_t j = 0; j < n; ++j) {
+        vi[j] = netlist::initial_value(assignment[j]);
+        vf[j] = netlist::final_value(assignment[j]);
+        if (assignment[j] == FourValue::Rise) rising |= 1u << j;
+        if (vi[j] != vf[j]) switching |= 1u << j;
+      }
+      const bool oi = netlist::eval_gate(type, std::span<const bool>(vi.data(), n));
+      const bool of = netlist::eval_gate(type, std::span<const bool>(vf.data(), n));
+      if (oi != of) acc[{switching, rising, of}] += weight;
+      return;
+    }
+    for (const auto& [v, p] : support[i]) {
+      assignment[i] = v;
+      self(self, i + 1, weight * p);
+    }
+  };
+  walk(walk, 0, 1.0);
+
+  std::vector<SwitchPattern> patterns;
+  for (const auto& [key, weight] : acc) {
+    SwitchPattern p;
+    p.weight = weight;
+    p.switching_mask = std::get<0>(key);
+    p.rising_mask = std::get<1>(key);
+    p.output_rising = std::get<2>(key);
+    p.op = reference_op(type, p);
+    patterns.push_back(p);
+  }
+  return patterns;
+}
+
+void expect_bitwise_equal(const std::vector<SwitchPattern>& got,
+                          const std::vector<SwitchPattern>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(std::memcmp(&got[k].weight, &want[k].weight, sizeof(double)), 0)
+        << what << " pattern " << k << ": " << got[k].weight << " vs " << want[k].weight;
+    EXPECT_EQ(got[k].switching_mask, want[k].switching_mask) << what << " pattern " << k;
+    EXPECT_EQ(got[k].rising_mask, want[k].rising_mask) << what << " pattern " << k;
+    EXPECT_EQ(got[k].output_rising, want[k].output_rising) << what << " pattern " << k;
+    EXPECT_EQ(got[k].op, want[k].op) << what << " pattern " << k;
+  }
+}
+
+/// Random distribution over a random nonempty support; \p tiny mixes in
+/// probabilities of 1e-300 whose products underflow to zero.
+FourValueProbs random_input(stats::Xoshiro256& rng, bool tiny) {
+  std::array<double, 4> q{};
+  while (q[0] + q[1] + q[2] + q[3] == 0.0) {
+    for (double& x : q) {
+      const double u = rng.uniform();
+      x = u < 0.35 ? 0.0 : (tiny && u < 0.5 ? 1e-300 : rng.uniform());
+    }
+  }
+  return {q[0], q[1], q[2], q[3]};
+}
+
+constexpr GateType kMultiInputTypes[] = {GateType::And, GateType::Nand, GateType::Or,
+                                         GateType::Nor, GateType::Xor,  GateType::Xnor};
+
+std::size_t joint_support(std::span<const FourValueProbs> inputs) {
+  std::size_t combos = 1;
+  for (const FourValueProbs& p : inputs) {
+    combos *= (p.p0 > 0.0) + (p.p1 > 0.0) + (p.pr > 0.0) + (p.pf > 0.0);
+  }
+  return combos;
+}
+
+TEST(PatternTemplates, ReplayIsBitwiseEqualToReferenceEnumeration) {
+  stats::Xoshiro256 rng(20261017);
+  std::vector<SwitchPattern> scratch;  // reused across calls, as the engines do
+  const auto check = [&](GateType type, const std::vector<FourValueProbs>& inputs,
+                         const std::string& what) {
+    enumerate_switch_patterns(type, inputs, scratch);
+    expect_bitwise_equal(scratch, reference_enumerate(type, inputs), what);
+    expect_bitwise_equal(enumerate_switch_patterns(type, inputs),
+                         reference_enumerate(type, inputs), what + " (vector)");
+  };
+  for (const bool tiny : {false, true}) {
+    for (std::size_t fanin = 1; fanin <= 12; ++fanin) {
+      for (const GateType type : kMultiInputTypes) {
+        for (int trial = 0; trial < 6; ++trial) {
+          std::vector<FourValueProbs> inputs(fanin);
+          do {
+            for (auto& p : inputs) p = random_input(rng, tiny);
+          } while (joint_support(inputs) > (std::size_t{1} << 15));
+          check(type, inputs,
+                std::string(netlist::to_string(type)) + " fanin " + std::to_string(fanin) +
+                    (tiny ? " tiny" : ""));
+        }
+      }
+    }
+    // Buf/Not follow input 0 at any fanin; Const0/Const1 have no scenarios.
+    for (const GateType type :
+         {GateType::Buf, GateType::Not, GateType::Const0, GateType::Const1}) {
+      for (std::size_t fanin = 1; fanin <= 3; ++fanin) {
+        std::vector<FourValueProbs> inputs(fanin);
+        for (auto& p : inputs) p = random_input(rng, tiny);
+        check(type, inputs, std::string(netlist::to_string(type)));
+      }
+    }
+  }
+}
+
+TEST(PatternTemplates, UnderflowedWeightsSurviveAsZero) {
+  // Three inputs at 1e-300 switching: the product underflows to +0.0, and
+  // the scenario is kept with that weight, exactly like the direct walk.
+  const FourValueProbs tiny{0.5, 0.5 - 1e-300, 1e-300, 0.0};
+  const std::vector<FourValueProbs> inputs{tiny, tiny, tiny};
+  const auto patterns = enumerate_switch_patterns(GateType::And, inputs);
+  expect_bitwise_equal(patterns, reference_enumerate(GateType::And, inputs), "underflow");
+  const auto all_rise = std::find_if(patterns.begin(), patterns.end(), [](const auto& p) {
+    return p.switching_mask == 0b111u && p.rising_mask == 0b111u;
+  });
+  ASSERT_NE(all_rise, patterns.end());
+  EXPECT_EQ(all_rise->weight, 0.0);
+}
+
+TEST(PatternTemplates, EmptySupportAndThrowsMatchReference) {
+  const FourValueProbs full{0.25, 0.25, 0.25, 0.25};
+  const FourValueProbs empty{0.0, 0.0, 0.0, 0.0};
+  for (const GateType type : kMultiInputTypes) {
+    const std::vector<FourValueProbs> inputs{full, empty, full};
+    EXPECT_TRUE(enumerate_switch_patterns(type, inputs).empty());
+    EXPECT_TRUE(reference_enumerate(type, inputs).empty());
+  }
+  const auto message = [](auto&& fn) -> std::string {
+    try {
+      fn();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "(no throw)";
+  };
+  const std::vector<FourValueProbs> wide(17, full);
+  const std::vector<FourValueProbs> dense(14, full);
+  for (const auto* inputs : {&wide, &dense}) {
+    const std::string got =
+        message([&] { (void)enumerate_switch_patterns(GateType::Nand, *inputs); });
+    EXPECT_NE(got, "(no throw)");
+    EXPECT_EQ(got, message([&] { (void)reference_enumerate(GateType::Nand, *inputs); }));
+  }
+}
+
+TEST(PatternTemplates, OneSignatureReplaysAnyProbabilities) {
+  // Same support masks, fresh probabilities each time: after the first
+  // call every lookup is a hit, and every replay matches the reference.
+  stats::Xoshiro256 rng(7);
+  const PatternTableStats before = pattern_table_stats();
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<FourValueProbs> inputs(5);
+    for (auto& p : inputs) {
+      p = FourValueProbs{rng.uniform() + 0.01, rng.uniform() + 0.01, 0.0,
+                         rng.uniform() + 0.01};
+    }
+    inputs[2].pr = trial % 2 == 0 ? 1e-300 : rng.uniform() + 0.01;  // still > 0
+    expect_bitwise_equal(enumerate_switch_patterns(GateType::Xnor, inputs),
+                         reference_enumerate(GateType::Xnor, inputs),
+                         "trial " + std::to_string(trial));
+  }
+  const PatternTableStats after = pattern_table_stats();
+  EXPECT_GE(after.hits - before.hits, 19u);
+  EXPECT_LE(after.misses - before.misses, 1u);
+}
+
+TEST(PatternTemplates, TableStaysInBudgetAndStaysExactPastIt) {
+  // 3-value support on all 12 inputs: 3^12 = 531441 leaves, about 2 MiB
+  // per template, so 24 distinct signatures (which value each input
+  // lacks) overflow the budget. Every result stays exact regardless.
+  constexpr std::size_t kTemplateBytes = 531441 * sizeof(std::uint32_t);
+  constexpr std::size_t kSignatures = kPatternTableBudgetBytes / kTemplateBytes + 8;
+  const PatternTableStats before = pattern_table_stats();
+  stats::Xoshiro256 rng(99);
+  std::vector<SwitchPattern> out;
+  for (std::size_t s = 0; s < kSignatures; ++s) {
+    std::vector<FourValueProbs> inputs(12);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      std::array<double, 4> q{rng.uniform() + 0.01, rng.uniform() + 0.01,
+                              rng.uniform() + 0.01, rng.uniform() + 0.01};
+      q[(s >> (2 * (i % 6))) & 3u] = 0.0;  // distinct masks for s < 4^6
+      inputs[i] = {q[0], q[1], q[2], q[3]};
+    }
+    enumerate_switch_patterns(GateType::Or, inputs, out);
+    expect_bitwise_equal(out, reference_enumerate(GateType::Or, inputs),
+                         "signature " + std::to_string(s));
+    EXPECT_LE(pattern_table_stats().bytes, kPatternTableBudgetBytes);
+  }
+  const PatternTableStats after = pattern_table_stats();
+  EXPECT_EQ(after.misses - before.misses, kSignatures);
+  EXPECT_GT(after.unstored, before.unstored);
+  EXPECT_LE(after.bytes, kPatternTableBudgetBytes);
 }
 
 }  // namespace

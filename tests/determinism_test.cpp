@@ -209,23 +209,6 @@ TEST(Determinism, NumericEngineLevelLoopDoesNotAllocateWhenWarm) {
   expect_same_numeric(warm, again);
 }
 
-TEST(Determinism, PatternCacheIsTransparentAtExactKeys) {
-  // With the default quantum of 0 the cache keys on exact bit patterns, so
-  // cached and uncached runs are bitwise identical.
-  const netlist::Netlist n = test_circuit();
-  const netlist::DelayModel d = netlist::DelayModel::unit(n);
-  const std::vector sources{netlist::scenario_I()};
-
-  core::SpstaOptions cached;
-  cached.threads = 4;
-  cached.use_pattern_cache = true;
-  core::SpstaOptions uncached;
-  uncached.threads = 4;
-  uncached.use_pattern_cache = false;
-  expect_same_numeric(core::run_spsta_numeric(n, d, sources, cached),
-                      core::run_spsta_numeric(n, d, sources, uncached));
-}
-
 TEST(Determinism, MomentEngineIsThreadCountInvariant) {
   const netlist::Netlist n = test_circuit();
   const netlist::DelayModel d = netlist::DelayModel::gaussian(n, 1.0, 0.05);
@@ -296,7 +279,7 @@ TEST(Determinism, MetricsRecordingDoesNotPerturbAnyEngine) {
 
 TEST(Determinism, AnalyzerMatchesLegacyAtOneAndManyThreads) {
   // The acceptance criterion of the unified API: results through the
-  // Analyzer facade (compiled plan, shared pattern cache, shared pool)
+  // Analyzer facade (compiled plan, shared pool)
   // are bit-identical to the legacy engine entry points at 1 and N
   // threads. Repeated runs over the same warm plan must not drift either.
   const netlist::Netlist n = test_circuit();
@@ -486,7 +469,7 @@ TEST(Determinism, EveryEngineAfterSessionEcoMatchesAFreshAnalyzer) {
     AnalysisRequest request;
     request.threads = threads;
     for (int round = 0; round < 5; ++round) {
-      // Warm the plan's kernel and pattern caches before each batch.
+      // Warm the plan's kernel cache before each batch.
       request.engine = round % 2 == 0 ? Engine::SpstaNumeric : Engine::Mc;
       if (request.engine == Engine::Mc) {
         request.runs = 300;

@@ -45,7 +45,9 @@ TEST(ObsMetrics, GaugeHoldsLastWrite) {
   EXPECT_EQ(g.value(), 0.0);
   g.set(2.5);
   g.set(-17.25);
-  if (kCompiledIn) EXPECT_EQ(g.value(), -17.25);
+  if (kCompiledIn) {
+    EXPECT_EQ(g.value(), -17.25);
+  }
   g.reset();
   EXPECT_EQ(g.value(), 0.0);
 }
@@ -175,7 +177,9 @@ TEST(ObsTrace, TraceLogAppendsOneLinePerEvent) {
   // A path that cannot open yields an inert log, not a crash.
   TraceLog bad("/nonexistent-dir-for-spsta-test/trace.jsonl");
   EXPECT_FALSE(bad.ok());
-  bad.write({.trace_id = 3});
+  TraceEvent dropped;
+  dropped.trace_id = 3;
+  bad.write(dropped);
   EXPECT_EQ(bad.events_written(), 0u);
 }
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/patterns.hpp"
 #include "core/spsta.hpp"
 #include "netlist/delay_model.hpp"
 #include "netlist/iscas89.hpp"
@@ -358,6 +359,22 @@ TEST(ServiceProtocol, StatsSurfaceCountersAndShutdownIsAcknowledged) {
   EXPECT_GE(global.find("requests")->as_number(), 4.0);
   EXPECT_GE(global.find("errors")->as_number(), 1.0);
   EXPECT_EQ(global.find("analysis_cache")->find("hits")->as_number(), 1.0);
+
+  // The process-wide switch-pattern template table: the analyze above
+  // looked up at least one gate signature, and the table stays in budget.
+  const Json* patterns = global.find("pattern_cache");
+  ASSERT_NE(patterns, nullptr);
+  for (const char* field : {"entries", "bytes", "budget_bytes", "hits", "misses", "unstored"}) {
+    ASSERT_NE(patterns->find(field), nullptr) << field;
+  }
+  EXPECT_GE(patterns->find("entries")->as_number(), 1.0);
+  EXPECT_GE(patterns->find("hits")->as_number() + patterns->find("misses")->as_number(),
+            1.0);
+  EXPECT_GT(patterns->find("bytes")->as_number(), 0.0);
+  EXPECT_LE(patterns->find("bytes")->as_number(),
+            patterns->find("budget_bytes")->as_number());
+  EXPECT_EQ(patterns->find("budget_bytes")->as_number(),
+            static_cast<double>(core::kPatternTableBudgetBytes));
 
   const Json per = expect_ok(
       service, R"({"cmd":"stats","session":")" + session + R"("})");
