@@ -2,7 +2,7 @@
 // block-based SSTA exists for. Repeatedly find the most critical endpoint,
 // walk its structurally critical path, speed up the slowest gate on it,
 // and re-evaluate — each iteration touching only the changed fanout cone
-// through the incremental engine. Also shows the SPSTA yield improving as
+// through the plan's incremental engine (its SSTA arrivals). Also shows the SPSTA yield improving as
 // the critical path shrinks.
 //
 //   $ ./example_incremental_optimization [circuit]     (default: s386)
@@ -11,12 +11,13 @@
 #include <cstdio>
 #include <string>
 
+#include "core/compiled_design.hpp"
+#include "core/incremental_spsta.hpp"
 #include "core/spsta.hpp"
 #include "core/yield.hpp"
 #include "netlist/cell_library.hpp"
 #include "netlist/graph.hpp"
 #include "netlist/iscas89.hpp"
-#include "ssta/incremental.hpp"
 #include "ssta/node_criticality.hpp"
 
 int main(int argc, char** argv) {
@@ -36,9 +37,10 @@ NOT     0.45 0.02 0.05
 BUFF    0.40 0.02 0.05
 default 1.00 0.05 0.05
 )");
-  netlist::DelayModel delays = lib.apply(design);
-
-  ssta::IncrementalSsta inc(design, delays, sc);
+  // The plan owns the delays; the incremental engine edits them in place.
+  core::CompiledDesign plan(design, lib.apply(design));
+  const netlist::DelayModel& delays = plan.delays();
+  core::IncrementalSpsta inc(plan, sc, /*settle_eps=*/0.0);
   std::printf("optimizing %s (%zu gates)\n\n", design.name().c_str(),
               design.gate_count());
   std::printf("%-5s  %-10s  %-14s  %-14s  %-12s\n", "iter", "WNS-endpoint",
@@ -51,7 +53,7 @@ default 1.00 0.05 0.05
     netlist::NodeId worst = design.timing_endpoints().front();
     double worst_q = -1e300;
     for (netlist::NodeId ep : design.timing_endpoints()) {
-      const stats::Gaussian& g = inc.arrival(ep).rise;
+      const stats::Gaussian& g = inc.ssta()[ep].rise;
       const double q = g.mean + 3.0 * g.stddev();
       if (q > worst_q) {
         worst_q = q;
@@ -79,19 +81,18 @@ default 1.00 0.05 0.05
     // "Upsize": 30% faster, slightly tighter sigma.
     const stats::Gaussian old_delay = delays.delay(slowest);
     const stats::Gaussian new_delay{0.7 * old_delay.mean, 0.5 * old_delay.var};
-    delays.set_delay(slowest, new_delay);
     inc.set_delay(slowest, new_delay);
-    (void)inc.arrival(worst);
+    (void)inc.ssta();
 
     std::printf("%-5d  %-10s  %-14.3f  %-14s  %llu\n", iter,
                 design.node(worst).name.c_str(), worst_q,
                 design.node(slowest).name.c_str(),
-                static_cast<unsigned long long>(inc.nodes_reevaluated() - last_count));
-    last_count = inc.nodes_reevaluated();
+                static_cast<unsigned long long>(inc.ssta_reevaluated() - last_count));
+    last_count = inc.ssta_reevaluated();
   }
 
   std::printf("\ntotal nodes re-evaluated: %llu (vs %d full passes = %llu)\n",
-              static_cast<unsigned long long>(inc.nodes_reevaluated()), kIterations,
+              static_cast<unsigned long long>(inc.ssta_reevaluated()), kIterations,
               static_cast<unsigned long long>(kIterations * design.node_count()));
 
   // Yield before/after from the SPSTA numeric engine.

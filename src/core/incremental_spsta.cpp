@@ -40,6 +40,10 @@ bool nearly_equal(const NodeTop& a, const NodeTop& b, double eps) {
          nearly_equal(a.fall, b.fall, eps);
 }
 
+bool nearly_equal(const NodeArrival& a, const NodeArrival& b, double eps) {
+  return nearly_equal(a.rise, b.rise, eps) && nearly_equal(a.fall, b.fall, eps);
+}
+
 /// The one no-op rule of set_delay and probe: setting the common delay
 /// \p delay (which clears per-direction overrides) changes nothing only
 /// when neither direction's effective delay moves beyond \p eps.
@@ -98,11 +102,12 @@ void IncrementalSpsta::require_in_sync(const char* what) const {
 
 void IncrementalSpsta::mark_dirty(NodeId id) { (void)frontier_.mark(id); }
 
-void IncrementalSpsta::mark_fanouts(NodeId id, const std::vector<char>* mask) {
+void IncrementalSpsta::mark_fanouts(util::DirtyFrontier& frontier, NodeId id,
+                                    const std::vector<char>* mask) {
   for (NodeId fo : plan_.fanouts(id)) {
     if (!plan_.combinational(fo)) continue;
     if (mask != nullptr && (*mask)[fo] == 0) continue;
-    mark_dirty(fo);
+    (void)frontier.mark(fo);
   }
 }
 
@@ -167,7 +172,7 @@ IncrementalSpsta::CommitStats IncrementalSpsta::propagate_wave(
       const NodeId id = wave_ids_[k];
       if (undo_tops != nullptr) undo_tops->emplace_back(id, state_[id]);
       state_[id] = wave_tops_[k];
-      mark_fanouts(id, mask);
+      mark_fanouts(frontier_, id, mask);
     }
   }
   nodes_reevaluated_ += stats.cone_size;
@@ -197,6 +202,34 @@ const std::vector<NodeTop>& IncrementalSpsta::flush() {
   return state_;
 }
 
+const std::vector<NodeArrival>& IncrementalSpsta::ssta() {
+  require_no_txn("ssta");
+  require_in_sync("ssta");
+  if (arrival_.empty()) {
+    // First read: one full pass, seeded from the source states this engine
+    // already holds (a source top's conditional arrivals are the source's
+    // SSTA arrivals).
+    arrival_.assign(plan_.node_count(), NodeArrival{});
+    for (const NodeId src : plan_.timing_sources()) {
+      arrival_[src] = {state_[src].rise.arrival, state_[src].fall.arrival};
+    }
+    propagate_all_arrivals(plan_, arrival_);
+    ssta_frontier_.reset(narrow_levels(plan_.levelization().level));
+    return arrival_;
+  }
+  while (ssta_frontier_.any()) {
+    ssta_frontier_.take_level(ssta_frontier_.first_level(), wave_ids_);
+    for (const NodeId id : wave_ids_) {
+      const NodeArrival updated = propagate_gate_arrival(plan_, id, arrival_);
+      ++ssta_reevaluated_;
+      if (nearly_equal(updated, arrival_[id], settle_eps_)) continue;
+      arrival_[id] = updated;
+      mark_fanouts(ssta_frontier_, id, nullptr);
+    }
+  }
+  return arrival_;
+}
+
 void IncrementalSpsta::set_delay(NodeId id, const stats::Gaussian& delay) {
   if (id >= plan_.node_count()) {
     throw std::invalid_argument("IncrementalSpsta::set_delay: bad node id");
@@ -209,7 +242,10 @@ void IncrementalSpsta::set_delay(NodeId id, const stats::Gaussian& delay) {
   // on the no-op rule.
   plan_.set_delay(id, delay);
   ++plan_epoch_;
-  if (moved && plan_.combinational(id)) mark_dirty(id);
+  if (moved && plan_.combinational(id)) {
+    mark_dirty(id);
+    if (!arrival_.empty()) (void)ssta_frontier_.mark(id);
+  }
 }
 
 void IncrementalSpsta::set_source_stats(std::size_t source_index,
@@ -220,7 +256,15 @@ void IncrementalSpsta::set_source_stats(std::size_t source_index,
   }
   const NodeId src = sources[source_index];
   apply_source(src, stats);
-  mark_fanouts(src, nullptr);
+  mark_fanouts(frontier_, src, nullptr);
+  if (!arrival_.empty()) {
+    // SSTA is input-oblivious: a probability-only edit leaves its cone be.
+    const NodeArrival arrival{stats.rise_arrival, stats.fall_arrival};
+    if (!nearly_equal(arrival, arrival_[src], settle_eps_)) {
+      mark_fanouts(ssta_frontier_, src, nullptr);
+    }
+    arrival_[src] = arrival;
+  }
 }
 
 void IncrementalSpsta::begin_eco() {
@@ -329,7 +373,7 @@ IncrementalSpsta::ProbeResult IncrementalSpsta::probe(
     const NodeId src = sources[edit.source_index];
     undo_tops.emplace_back(src, state_[src]);
     apply_source(src, edit.source);
-    mark_fanouts(src, &mask);
+    mark_fanouts(frontier_, src, &mask);
   }
 
   ProbeResult result;

@@ -20,6 +20,12 @@
 ///   * level-parallel propagation — set_threads(n) evaluates each dirty
 ///     level through util::ThreadPool with settle votes merged in
 ///     deterministic mark order, bit-identical at any thread count.
+///
+/// The same engine serves block-based SSTA (ssta()): a second arrival
+/// array over the same plan, built by one full pass on the first read and
+/// afterwards updated over the SSTA cone of the delay and source-arrival
+/// edits made since the previous read. Commits, probes and moment reads
+/// never touch it.
 
 #pragma once
 
@@ -30,6 +36,7 @@
 #include <vector>
 
 #include "core/spsta.hpp"
+#include "core/ssta_kernel.hpp"
 #include "util/dirty_frontier.hpp"
 #include "util/thread_pool.hpp"
 
@@ -110,6 +117,15 @@ class IncrementalSpsta {
   /// Throws std::logic_error while a transaction is open.
   [[nodiscard]] const std::vector<NodeTop>& flush();
 
+  /// Block-based SSTA arrivals over the same plan, bit-identical to
+  /// ssta::run_ssta at settle_eps 0. The first call runs one full pass
+  /// seeded from the engine's source states; each later call re-evaluates
+  /// only the SSTA cone of the delay and source-arrival edits made since
+  /// the previous call, stopping where an arrival settles within
+  /// settle_eps. Throws std::logic_error while a transaction is open or
+  /// once the plan's delays were edited outside this engine.
+  [[nodiscard]] const std::vector<NodeArrival>& ssta();
+
   /// Changes one gate's delay distribution in the plan (clearing any
   /// per-direction override, as CompiledDesign::set_delay does). The gate
   /// is re-evaluated unless neither direction's effective delay moved
@@ -118,7 +134,8 @@ class IncrementalSpsta {
   /// next read).
   void set_delay(netlist::NodeId id, const stats::Gaussian& delay);
   /// Changes one timing source's statistics (probabilities and arrivals);
-  /// dirties its fanout cone. Index follows design.timing_sources().
+  /// dirties its fanout cone. Index follows design.timing_sources(). The
+  /// SSTA cone is dirtied only when an arrival moved beyond settle_eps.
   void set_source_stats(std::size_t source_index, const netlist::SourceStats& stats);
 
   /// Opens a transaction: subsequent edits accumulate into one merged
@@ -158,6 +175,11 @@ class IncrementalSpsta {
   [[nodiscard]] std::uint64_t settled_early() const noexcept {
     return settled_early_;
   }
+  /// Nodes the SSTA updates re-evaluated since construction (the first
+  /// read's full pass is not counted).
+  [[nodiscard]] std::uint64_t ssta_reevaluated() const noexcept {
+    return ssta_reevaluated_;
+  }
 
   /// The settle tolerance this session was built with.
   [[nodiscard]] double settle_eps() const noexcept { return settle_eps_; }
@@ -171,7 +193,8 @@ class IncrementalSpsta {
   /// engine did not make.
   void require_in_sync(const char* what) const;
   void mark_dirty(netlist::NodeId id);
-  void mark_fanouts(netlist::NodeId id, const std::vector<char>* mask);
+  void mark_fanouts(util::DirtyFrontier& frontier, netlist::NodeId id,
+                    const std::vector<char>* mask);
   void apply_source(netlist::NodeId src, const netlist::SourceStats& stats);
   /// Drains the frontier level by level. \p mask restricts marking to ids
   /// with mask[id] != 0 (the probe's backward cone); \p undo_tops records
@@ -194,6 +217,13 @@ class IncrementalSpsta {
   std::uint64_t nodes_reevaluated_ = 0;
   std::uint64_t settled_early_ = 0;
   double settle_eps_ = kDefaultSettleEps;
+
+  /// SSTA arrivals; empty until the first ssta() read.
+  std::vector<NodeArrival> arrival_;
+  /// Gates and source fanouts whose SSTA arrival is stale; keyed and
+  /// marked only once arrival_ exists.
+  util::DirtyFrontier ssta_frontier_;
+  std::uint64_t ssta_reevaluated_ = 0;
 
   unsigned threads_ = 1;
   /// Lazily spawned when threads_ > 1; reused across waves (one blocking

@@ -50,12 +50,9 @@
 
 namespace spsta::hier {
 
-/// Boundary state of one port: what crosses a block interface.
-struct PortTop {
-  netlist::FourValueProbs probs;
-  core::TransitionTop rise;
-  core::TransitionTop fall;
-};
+/// Boundary state of one port: what crosses a block interface — a net's
+/// moment-engine state.
+using PortTop = core::NodeTop;
 
 /// Declared composed-vs-flat tolerance on signal probabilities and
 /// transition masses (renormalization rounding only).

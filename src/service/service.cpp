@@ -145,8 +145,9 @@ Json probs_json(const netlist::FourValueProbs& probs) {
   return j;
 }
 
-/// Moment-engine node state as the engine-agnostic stats shape — shared by
-/// the warm-query fast path and probe result rendering.
+/// Moment-engine node state (or a hierarchical port's boundary state) as
+/// the engine-agnostic stats shape — shared by cached moment results, the
+/// warm-query fast path, probe results and hierarchical endpoints.
 Json node_top_json(const core::NodeTop& top) {
   Json j = Json::object();
   j.set("probs", probs_json(top.probs));
@@ -160,16 +161,11 @@ Json node_top_json(const core::NodeTop& top) {
 /// Per-node stats of a cached analysis, engine-agnostic shape:
 /// {probs?, rise:{p,mean,std}, fall:{p,mean,std}}.
 Json node_stats_json(const CachedAnalysis& analysis, NodeId id) {
-  Json j = Json::object();
   if (const auto* moment = std::get_if<core::SpstaResult>(&analysis.result)) {
-    const core::NodeTop& top = moment->node.at(id);
-    j.set("probs", probs_json(top.probs));
-    j.set("rise", direction_json(top.rise.mass, top.rise.arrival.mean,
-                                 top.rise.arrival.stddev()));
-    j.set("fall", direction_json(top.fall.mass, top.fall.arrival.mean,
-                                 top.fall.arrival.stddev()));
-  } else if (const auto* numeric =
-                 std::get_if<core::SpstaNumericResult>(&analysis.result)) {
+    return node_top_json(moment->node.at(id));
+  }
+  Json j = Json::object();
+  if (const auto* numeric = std::get_if<core::SpstaNumericResult>(&analysis.result)) {
     const core::NodeTopDensity& top = numeric->node.at(id);
     j.set("probs", probs_json(top.probs));
     j.set("rise", direction_json(top.rise.mass(), top.rise.mean(), top.rise.stddev()));
@@ -246,18 +242,6 @@ std::string infer_format(const std::string& path) {
        "cannot infer format from '" + path + "'; pass \"format\"");
 }
 
-/// Boundary state of one hierarchical signal, the same engine-agnostic
-/// shape node_stats_json renders for flat analyses.
-Json port_top_json(const hier::PortTop& top) {
-  Json j = Json::object();
-  j.set("probs", probs_json(top.probs));
-  j.set("rise", direction_json(top.rise.mass, top.rise.arrival.mean,
-                               top.rise.arrival.stddev()));
-  j.set("fall", direction_json(top.fall.mass, top.fall.arrival.mean,
-                               top.fall.arrival.stddev()));
-  return j;
-}
-
 /// Hierarchical counterpart of endpoints_json: one row per top output,
 /// same worst-endpoint rule (max mean arrival, vanishing mass excluded).
 Json hier_endpoints_json(const hier::HierReport& report) {
@@ -267,7 +251,7 @@ Json hier_endpoints_json(const hier::HierReport& report) {
   for (const std::size_t sig : report.outputs) {
     const hier::PortTop& top = report.signals.at(sig);
     const std::string& name = report.signal_names.at(sig);
-    Json row = port_top_json(top);
+    Json row = node_top_json(top);
     row.set("name", Json(name));
     for (const bool rising : {true, false}) {
       const core::TransitionTop& t = rising ? top.rise : top.fall;
@@ -578,13 +562,16 @@ std::pair<const CachedAnalysis*, bool> AnalysisService::ensure_analysis(
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
 
   CachedAnalysis entry;
-  if (engine == Engine::SpstaMoment && session.incremental) {
-    // Warm path: the incremental engine's settled state is bit-identical
-    // to a fresh full run (settle_eps == 0).
+  if (session.incremental &&
+      (engine == Engine::SpstaMoment || engine == Engine::Ssta)) {
+    // Warm path: the incremental engine's settled moment state and SSTA
+    // arrivals are bit-identical to a fresh full run (settle_eps == 0).
     const double t0 = now_seconds();
-    core::SpstaResult result;
-    result.node = session.incremental->flush();
-    entry.result = std::move(result);
+    if (engine == Engine::SpstaMoment) {
+      entry.result = core::SpstaResult{session.incremental->flush()};
+    } else {
+      entry.result = ssta::SstaResult{session.incremental->ssta()};
+    }
     entry.elapsed_seconds = now_seconds() - t0;
   } else {
     AnalysisReport report = session.analyzer->run(request);
@@ -683,10 +670,10 @@ Response AnalysisService::handle_query(const Request& request) {
   if (node != nullptr) query_node = resolve_node(session, *node);
 
   // Warm-query fast path: once a session has taken an ECO edit, a plain
-  // moment-engine node query reads the warm incremental engine directly —
-  // per-node, memoized until the next ECO edit — instead of
-  // materializing (and copying) a full SpstaResult per (engine, params)
-  // cache entry. Bit-identical: the engine settles exactly (eps == 0).
+  // moment-engine node query reads the warm incremental engine directly
+  // instead of materializing (and copying) a full SpstaResult per
+  // (engine, params) cache entry. Bit-identical: the engine settles
+  // exactly (eps == 0), and a committed state reads in O(1).
   if (node != nullptr && engine == Engine::SpstaMoment && session.incremental &&
       request.body.find("density") == nullptr) {
     AnalysisRequest validate_request = params.request;
@@ -696,26 +683,16 @@ Response AnalysisService::handle_query(const Request& request) {
     } catch (const std::invalid_argument& e) {
       fail(ErrorCode::BadParams, e.what());
     }
-    static obs::Counter& cache_hit_counter =
-        obs::registry().counter("incremental.cache_hit");
-    auto it = session.query_cache.find(query_node);
-    const bool hit = it != session.query_cache.end();
-    if (hit) {
-      cache_hit_counter.add();
-    } else {
-      it = session.query_cache.emplace(query_node, session.incremental->node(query_node))
-               .first;
-    }
     ++session.queries;
 
-    Json stats = node_top_json(it->second);
+    Json stats = node_top_json(session.incremental->node(query_node));
     stats.set("node", Json(static_cast<std::uint64_t>(query_node)));
     stats.set("name", Json(session.design().node(query_node).name));
     stats.set("type", Json(std::string(
                           netlist::to_string(session.design().node(query_node).type))));
     Json result = Json::object();
     result.set("engine", Json(std::string(to_string(engine))));
-    result.set("cached", Json(hit));
+    result.set("cached", Json(false));
     result.set("eco_version", Json(session.eco_version));
     result.set("stats", std::move(stats));
     return Response::success(request.id, std::move(result));
@@ -935,12 +912,15 @@ Response AnalysisService::handle_set_source(const Request& request) {
   }
 
   const std::lock_guard<std::mutex> lock(session.mutex);
-  const std::size_t index = static_cast<std::size_t>(source->as_number());
-  if (index >= session.sources().size()) {
+  check_deadline(request);
+  // Bound-check the double before narrowing it: a cast of 1e300 (or of
+  // 2^64) to size_t is undefined.
+  if (source->as_number() >= static_cast<double>(session.sources().size())) {
     fail(ErrorCode::BadParams,
-         "source index " + std::to_string(index) + " out of range [0, " +
+         "source index " + json_number(source->as_number()) + " out of range [0, " +
              std::to_string(session.sources().size()) + ")");
   }
+  const std::size_t index = static_cast<std::size_t>(source->as_number());
 
   netlist::SourceStats stats = session.sources()[index];
   if (const Json* probs = request.body.find("probs")) {

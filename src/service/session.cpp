@@ -77,7 +77,6 @@ core::IncrementalSpsta::CommitStats Session::apply_eco(
   core::IncrementalSpsta& inc = warm_incremental();
   // Cleared up front: even a batch that throws half-way has moved state.
   cache.clear();
-  query_cache.clear();
   inc.begin_eco();
   core::IncrementalSpsta::CommitStats stats;
   try {

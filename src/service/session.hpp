@@ -85,23 +85,18 @@ struct Session {
   /// place (no recompile).
   std::unique_ptr<Analyzer> analyzer;
 
-  /// Warm incremental moment engine, created on first use (first
-  /// spsta_moment analysis or first ECO edit) over the analyzer's plan, so
-  /// its delay edits are the analyzer's. Uses exact settle comparison so
-  /// its state is bit-identical to a fresh full run.
+  /// Warm incremental engine (moment state and SSTA arrivals), created by
+  /// the first ECO edit or probe (apply_eco / probe_eco) over the
+  /// analyzer's plan, so its delay edits are the analyzer's. Uses exact
+  /// settle comparison so its state is bit-identical to a fresh full run.
   std::unique_ptr<core::IncrementalSpsta> incremental;
 
   /// Bumped by every ECO edit (set_delay / set_source) — the one session
-  /// epoch. apply_eco clears both caches below on every edit batch.
+  /// epoch. apply_eco clears the result cache on every edit batch.
   std::uint64_t eco_version = 0;
 
   /// (engine|params) -> result, valid for the current eco_version only.
   std::unordered_map<std::string, CachedAnalysis> cache;
-
-  /// Endpoint query cache for the warm moment engine: repeated `query` of
-  /// the same nodes between edits reads here instead of re-walking (or
-  /// re-copying) engine state. Valid for the current eco_version only.
-  std::unordered_map<netlist::NodeId, core::NodeTop> query_cache;
 
   /// Hierarchical sessions only: the composition analyzer (flat sessions
   /// leave this null — is_hier() is the discriminator) and its per-params
@@ -155,14 +150,15 @@ struct Session {
   /// Applies a batch of ECO edits as one transaction: writes each delay
   /// edit once, through the warm incremental engine into the shared plan,
   /// updates the analyzer's sources, commits a single merged propagation
-  /// wave, bumps eco_version and clears the result and query caches. Returns the wave's cost (the per-request `nodes_reevaluated`
-  /// / `settled_early` the protocol reports). Caller holds `mutex`.
+  /// wave, bumps eco_version and clears the result cache. Returns the
+  /// wave's cost (the per-request `nodes_reevaluated` / `settled_early`
+  /// the protocol reports). Caller holds `mutex`.
   core::IncrementalSpsta::CommitStats apply_eco(
       std::span<const core::IncrementalSpsta::EcoEdit> edits);
 
   /// What-if probe against the warm engine: arrivals under \p edits at
   /// \p targets; the plan is never written and the state is restored. Neither
-  /// eco_version nor the caches move. Caller holds `mutex`.
+  /// eco_version nor the cache moves. Caller holds `mutex`.
   core::IncrementalSpsta::ProbeResult probe_eco(
       std::span<const core::IncrementalSpsta::EcoEdit> edits,
       std::span<const netlist::NodeId> targets);

@@ -4,37 +4,7 @@
 
 namespace spsta::ssta {
 
-using netlist::GateType;
 using netlist::NodeId;
-using stats::Gaussian;
-
-bool inputs_inverted(GateType type) noexcept { return netlist::is_inverting(type); }
-
-ArrivalOp arrival_op(GateType type, bool output_rising) noexcept {
-  switch (type) {
-    case GateType::And:
-    case GateType::Nand:
-      // Output 1 is AND's non-controlled value: the last input to reach the
-      // non-controlling value sets it -> MAX. Output 0 is controlled: the
-      // first input to reach the controlling value sets it -> MIN. For
-      // NAND the output inverts but the input-side semantics are AND's.
-      {
-        const bool output_non_controlled =
-            (type == GateType::And) ? output_rising : !output_rising;
-        return output_non_controlled ? ArrivalOp::Max : ArrivalOp::Min;
-      }
-    case GateType::Or:
-    case GateType::Nor: {
-      const bool output_controlled =
-          (type == GateType::Or) ? output_rising : !output_rising;
-      return output_controlled ? ArrivalOp::Min : ArrivalOp::Max;
-    }
-    default:
-      // Single-input gates and parity gates: worst case (MAX), the STA
-      // convention for gates without a controlling value.
-      return ArrivalOp::Max;
-  }
-}
 
 SstaResult run_ssta(const core::CompiledDesign& plan,
                     std::span<const netlist::SourceStats> source_stats) {
@@ -48,57 +18,13 @@ SstaResult run_ssta(const core::CompiledDesign& plan,
         source_stats.size() == 1 ? source_stats[0] : source_stats[i];
     result.arrival[sources[i]] = {st.rise_arrival, st.fall_arrival};
   }
-
-  for (NodeId id : plan.levelization().order) {
-    if (!plan.combinational(id)) continue;
-    result.arrival[id] =
-        propagate_gate_arrival(plan.design(), id, result.arrival, plan.delays());
-  }
+  core::propagate_all_arrivals(plan, result.arrival);
   return result;
 }
 
 SstaResult run_ssta(const netlist::Netlist& design, const netlist::DelayModel& delays,
                     std::span<const netlist::SourceStats> source_stats) {
   return run_ssta(core::CompiledDesign(design, delays), source_stats);
-}
-
-NodeArrival propagate_gate_arrival(const netlist::Netlist& design, NodeId id,
-                                   std::span<const NodeArrival> state,
-                                   const netlist::DelayModel& delays) {
-  const netlist::Node& node = design.node(id);
-  if (node.fanins.empty()) {  // constants never transition
-    return {{0.0, 0.0}, {0.0, 0.0}};
-  }
-  const bool inverted = inputs_inverted(node.type);
-  NodeArrival out;
-  for (const bool output_rising : {true, false}) {
-    const ArrivalOp op = arrival_op(node.type, output_rising);
-    // Contributing input arrivals: rises cause output rises for
-    // non-inverting gates, falls for inverting ones. Parity gates use
-    // the worse of both input directions per input.
-    Gaussian acc;
-    bool first = true;
-    for (NodeId f : node.fanins) {
-      const NodeArrival& in = state[f];
-      Gaussian contrib;
-      if (node.type == GateType::Xor || node.type == GateType::Xnor) {
-        contrib = stats::clark_max(in.rise, in.fall).moments;
-      } else {
-        const bool take_rise = output_rising != inverted;
-        contrib = take_rise ? in.rise : in.fall;
-      }
-      if (first) {
-        acc = contrib;
-        first = false;
-      } else {
-        acc = (op == ArrivalOp::Max) ? stats::clark_max(acc, contrib).moments
-                                     : stats::clark_min(acc, contrib).moments;
-      }
-    }
-    (output_rising ? out.rise : out.fall) =
-        stats::sum(acc, delays.delay(id, output_rising));
-  }
-  return out;
 }
 
 }  // namespace spsta::ssta

@@ -15,10 +15,10 @@
 #include <span>
 #include <vector>
 
+#include "core/ssta_kernel.hpp"
 #include "netlist/delay_model.hpp"
 #include "netlist/four_value.hpp"
 #include "netlist/netlist.hpp"
-#include "stats/gaussian.hpp"
 
 namespace spsta::core {
 class CompiledDesign;
@@ -26,37 +26,18 @@ class CompiledDesign;
 
 namespace spsta::ssta {
 
-/// Rise/fall arrival distributions of one net.
-struct NodeArrival {
-  stats::Gaussian rise;
-  stats::Gaussian fall;
-};
-
-/// Which order statistic a gate applies to the contributing input arrivals
-/// for a given output transition direction.
-enum class ArrivalOp { Max, Min };
-
-/// The input transition direction that causes the given output direction
-/// (true = the gate inverts, so an output rise is caused by input falls).
-[[nodiscard]] bool inputs_inverted(netlist::GateType type) noexcept;
-
-/// MAX or MIN for the given gate and output transition direction
-/// (output_rising = true for the rising output arrival).
-[[nodiscard]] ArrivalOp arrival_op(netlist::GateType type, bool output_rising) noexcept;
+// The per-gate kernel lives in core (core/ssta_kernel.hpp), below this
+// layer, so the incremental engine shares it with run_ssta.
+using core::arrival_op;
+using core::ArrivalOp;
+using core::inputs_inverted;
+using core::NodeArrival;
+using core::propagate_gate_arrival;
 
 /// Full SSTA result: arrival distributions per node id.
 struct SstaResult {
   std::vector<NodeArrival> arrival;
 };
-
-/// Recomputes one combinational gate's arrival from the current state
-/// (the single-gate kernel shared by the batch and incremental engines).
-/// Uses per-direction delays when the model carries them.
-/// Precondition: is_combinational(node type).
-[[nodiscard]] NodeArrival propagate_gate_arrival(const netlist::Netlist& design,
-                                                 netlist::NodeId id,
-                                                 std::span<const NodeArrival> state,
-                                                 const netlist::DelayModel& delays);
 
 /// Runs block-based SSTA on a precompiled plan (implementation-level;
 /// application code goes through the Analyzer facade in spsta_api.hpp).

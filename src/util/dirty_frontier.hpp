@@ -1,11 +1,9 @@
 /// \file dirty_frontier.hpp
-/// Level-bucketed dirty-set bookkeeping shared by the incremental timing
-/// engines (`core::IncrementalSpsta`, `ssta::IncrementalSsta`). Both engines
-/// used to carry their own copy of the same mark/dedup/level-window logic;
-/// this helper owns it once, and adds what the transactional ECO path needs:
-/// the dirty set is handed back one *level at a time*, so a propagation wave
-/// can evaluate a whole level in parallel and merge results in deterministic
-/// mark order (DESIGN.md §17).
+/// Level-bucketed dirty-set bookkeeping of the incremental timing engine
+/// (`core::IncrementalSpsta`), which keeps one frontier for its moment
+/// state and one for its SSTA arrivals. The dirty set is handed back one
+/// *level at a time*, so a propagation wave can evaluate a whole level in
+/// parallel and merge results in deterministic mark order (DESIGN.md §17).
 ///
 /// The helper is topology-agnostic: it knows nothing about netlists, only a
 /// per-node level assignment. The invariant callers must keep is the one the

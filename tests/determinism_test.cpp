@@ -448,8 +448,9 @@ TEST(Determinism, EveryEngineAfterSessionEcoMatchesAFreshAnalyzer) {
   // One owner for delay state (DESIGN.md §11, §17): after a Session script
   // of batched delay edits, source edits and probes — with numeric and MC
   // runs in between, so stale precomputed kernels would show — every
-  // engine on the session's Analyzer is bit-identical to a fresh Analyzer
-  // built on the final delays and sources, at 1, 2 and 8 threads.
+  // engine on the session's Analyzer, and the SSTA arrivals the warm
+  // engine serves, are bit-identical to a fresh Analyzer built on the
+  // final delays and sources, at 1, 2 and 8 threads.
   using EcoEdit = core::IncrementalSpsta::EcoEdit;
   const netlist::Netlist n = test_circuit();
   const std::vector<NodeId> endpoints = n.timing_endpoints();
@@ -499,6 +500,9 @@ TEST(Determinism, EveryEngineAfterSessionEcoMatchesAFreshAnalyzer) {
           EcoEdit::delay_edit(gates[(round * 13) % gates.size()], {0.6, 0.01}),
           EcoEdit::source_edit((round + 1) % num_sources, netlist::scenario_II())};
       (void)session.probe_eco(what_if, endpoints);
+      // The first SSTA read is the full pass; later rounds' reads and the
+      // final one are cone updates over the edits in between.
+      if (round % 2 == 1) (void)session.incremental->ssta();
     }
     // A variance-only edit of an unedited gate, below the largest sigma,
     // keeps the numeric grid — the kernel cache key — unchanged: only
@@ -517,6 +521,9 @@ TEST(Determinism, EveryEngineAfterSessionEcoMatchesAFreshAnalyzer) {
     ASSERT_EQ(session.analyzer->content_hash(), fresh.content_hash());
     expect_tops_equal(session.incremental->flush(),
                       core::run_spsta_moment(fresh.plan(), final_sources).node);
+    EXPECT_GT(session.incremental->ssta_reevaluated(), 0u);
+    expect_same_ssta(ssta::SstaResult{session.incremental->ssta()},
+                     ssta::run_ssta(fresh.plan(), final_sources));
     for (const Engine engine : {Engine::SpstaMoment, Engine::SpstaNumeric,
                                 Engine::Canonical, Engine::Ssta, Engine::Mc}) {
       AnalysisRequest r;

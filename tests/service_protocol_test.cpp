@@ -4,6 +4,7 @@
 // load → analyze → ECO → re-query session whose incremental answer is
 // bit-identical to a fresh full analysis of the edited design.
 
+#include <chrono>
 #include <future>
 #include <limits>
 #include <string>
@@ -20,6 +21,7 @@
 #include "service/protocol.hpp"
 #include "service/service.hpp"
 #include "service/worker_pool.hpp"
+#include "ssta/ssta.hpp"
 
 namespace spsta::service {
 namespace {
@@ -211,12 +213,13 @@ TEST(ServiceProtocol, EcoRequeryIsBitIdenticalToFreshFullAnalysis) {
   const core::SpstaResult fresh = core::run_spsta_moment(design, delays, sources);
 
   // Re-query every node through the protocol; the incremental answer must
-  // match the fresh run bit for bit.
+  // match the fresh run bit for bit. It reads the engine, not a cache.
   for (netlist::NodeId id = 0; id < design.node_count(); ++id) {
     const Json q = expect_ok(service,
                              R"({"cmd":"query","session":")" + session +
                                  R"(","node":)" + std::to_string(id) + "}");
     EXPECT_EQ(q.find("eco_version")->as_number(), 1.0);
+    EXPECT_FALSE(q.find("cached")->as_bool());
     const Json* s = q.find("stats");
     ASSERT_NE(s, nullptr);
     const core::NodeTop& ref = fresh.node.at(id);
@@ -233,6 +236,32 @@ TEST(ServiceProtocol, EcoRequeryIsBitIdenticalToFreshFullAnalysis) {
     EXPECT_EQ(s->find("fall")->find("std")->as_number(), ref.fall.arrival.stddev())
         << id;
   }
+
+  // The served SSTA re-time: after each ECO the warm engine answers (its
+  // first read a full pass, the second a cone update), bit-identical to a
+  // fresh run_ssta of the edited design.
+  const auto expect_fresh_ssta = [&](double eco_version) {
+    const Json timed = expect_ok(service, R"({"cmd":"analyze","session":")" + session +
+                                              R"(","engine":"ssta"})");
+    EXPECT_FALSE(timed.find("cached")->as_bool());
+    EXPECT_EQ(timed.find("eco_version")->as_number(), eco_version);
+    const ssta::SstaResult want = ssta::run_ssta(design, delays, sources);
+    const auto& rows = timed.find("endpoints")->as_array();
+    ASSERT_EQ(rows.size(), design.timing_endpoints().size());
+    for (const Json& row : rows) {
+      const auto id = static_cast<netlist::NodeId>(row.find("node")->as_number());
+      const ssta::NodeArrival& a = want.arrival.at(id);
+      EXPECT_EQ(row.find("rise")->find("mean")->as_number(), a.rise.mean) << id;
+      EXPECT_EQ(row.find("rise")->find("std")->as_number(), a.rise.stddev()) << id;
+      EXPECT_EQ(row.find("fall")->find("mean")->as_number(), a.fall.mean) << id;
+      EXPECT_EQ(row.find("fall")->find("std")->as_number(), a.fall.stddev()) << id;
+    }
+  };
+  expect_fresh_ssta(1.0);
+  (void)expect_ok(service, R"({"cmd":"set_delay","session":")" + session +
+                               R"(","node":"G8","mean":0.4,"std":0.05})");
+  delays.set_delay(design.find("G8"), stats::Gaussian{0.4, 0.05 * 0.05});
+  expect_fresh_ssta(2.0);
 }
 
 // Batched ECO transactions and what-if probes over the protocol: the
@@ -344,6 +373,29 @@ TEST(ServiceProtocol, BatchedEditsCommitAsOneTransactionAndProbesCommitNothing) 
   const Json after = expect_ok(
       service, R"({"cmd":"stats","session":")" + session + R"("})");
   EXPECT_EQ(after.find("session")->find("eco_version")->as_number(), 3.0);
+}
+
+TEST(ServiceProtocol, SetSourceBoundsTheIndexAndHonorsTheDeadline) {
+  AnalysisService service;
+  const std::string session =
+      expect_ok(service, load_line("s27")).find("session")->as_string();
+  const std::string set_source =
+      R"({"cmd":"set_source","session":")" + session + R"(","source":)";
+
+  // Indices past size_t's range are rejected before any narrowing cast.
+  expect_error(service, set_source + "1e300}", "bad_params");
+  expect_error(service, set_source + "1.8446744073709552e19}", "bad_params");
+
+  // A set_source whose deadline lapsed before it won the session mutex is
+  // shed, and commits nothing.
+  auto parsed = parse_request(set_source + R"(0,"rise":[0.5,0.2],"deadline_ms":1})");
+  ASSERT_TRUE(std::holds_alternative<Request>(parsed));
+  Request late = std::get<Request>(std::move(parsed));
+  late.enqueued -= std::chrono::seconds(1);
+  EXPECT_EQ(service.execute(late).error_code(), "deadline_exceeded");
+  const Json after = expect_ok(
+      service, R"({"cmd":"stats","session":")" + session + R"("})");
+  EXPECT_EQ(after.find("session")->find("eco_version")->as_number(), 0.0);
 }
 
 TEST(ServiceProtocol, StatsSurfaceCountersAndShutdownIsAcknowledged) {
