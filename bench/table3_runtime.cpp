@@ -196,7 +196,7 @@ std::vector<GridSweepPoint> measure_grid_sweep(const std::string& circuit) {
     core::SpstaOptions opts;
     opts.grid_dt = 1e-4;
     opts.max_grid_points = cap;
-    // Warm once (delay kernels, pattern templates, workspace), then best-of —
+    // Warm once (pattern templates, workspace), then best-of —
     // once per dispatch tier; the scalar column is the vectorization
     // roofline (both tiers produce bit-identical results).
     GridSweepPoint p;

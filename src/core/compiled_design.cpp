@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -102,8 +103,6 @@ void CompiledDesign::set_delay(NodeId id, const stats::Gaussian& delay) {
   }
   delays_.set_delay(id, delay);
   ++delay_epoch_;
-  const std::lock_guard<std::mutex> lock(kernel_mutex_);
-  kernel_cache_.clear();
 }
 
 double CompiledDesign::structural_delay() const {
@@ -207,24 +206,13 @@ stats::GridSpec CompiledDesign::grid_for(
   return {lo, dt, std::max(n, std::min<std::size_t>(cap, 8))};
 }
 
-std::shared_ptr<const DelayKernelSet> CompiledDesign::delay_kernels(
-    double dt, std::size_t grid_n) const {
-  const std::pair<std::uint64_t, std::uint64_t> key{std::bit_cast<std::uint64_t>(dt),
-                                                    grid_n};
-  {
-    std::lock_guard<std::mutex> lock(kernel_mutex_);
-    if (const auto it = kernel_cache_.find(key); it != kernel_cache_.end()) {
-      return it->second;
-    }
-  }
-  // Build outside the lock: kernels are pure functions of (delay, dt), so
-  // a racing duplicate build produces bit-identical kernels and the loser
-  // simply adopts the winner's set below.
-  auto set = std::make_shared<DelayKernelSet>();
-  set->dt = dt;
-  const std::size_t n = node_count();
-  set->rise_index.assign(n, 0);
-  set->fall_index.assign(n, 0);
+DelayKernelSet build_delay_kernel_set(const CompiledDesign& plan, double dt,
+                                      std::size_t grid_n) {
+  DelayKernelSet set;
+  set.dt = dt;
+  const std::size_t n = plan.node_count();
+  set.rise_index.assign(n, 0);
+  set.fall_index.assign(n, 0);
   // Dedup kernels on the exact bit patterns of (mean, var): a uniform
   // delay model yields one unique kernel per direction instead of one
   // per node, which is what makes per-kernel spectra affordable.
@@ -233,16 +221,15 @@ std::shared_ptr<const DelayKernelSet> CompiledDesign::delay_kernels(
     const std::pair<std::uint64_t, std::uint64_t> gk{
         std::bit_cast<std::uint64_t>(g.mean), std::bit_cast<std::uint64_t>(g.var)};
     if (const auto it = unique.find(gk); it != unique.end()) return it->second;
-    const auto idx = static_cast<std::uint32_t>(set->kernels.size());
-    set->kernels.push_back(stats::make_delay_kernel(g, dt));
+    const auto idx = static_cast<std::uint32_t>(set.kernels.size());
+    set.kernels.push_back(stats::make_delay_kernel(g, dt));
     unique.emplace(gk, idx);
     return idx;
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!combinational_[i]) continue;
-    const auto id = static_cast<netlist::NodeId>(i);
-    set->rise_index[i] = intern(delays_.delay(id, /*rising=*/true));
-    set->fall_index[i] = intern(delays_.delay(id, /*rising=*/false));
+  for (NodeId id = 0; id < n; ++id) {
+    if (!plan.combinational(id)) continue;
+    set.rise_index[id] = intern(plan.delays().delay(id, /*rising=*/true));
+    set.fall_index[id] = intern(plan.delays().delay(id, /*rising=*/false));
   }
   if (grid_n > 0) {
     // Precompute each FFT-path kernel's half-spectrum at the size the
@@ -251,7 +238,7 @@ std::shared_ptr<const DelayKernelSet> CompiledDesign::delay_kernels(
     // bit-identical results.
     stats::Workspace& ws = stats::Workspace::local();
     std::size_t bytes = 0;
-    for (stats::DelayKernel& k : set->kernels) {
+    for (stats::DelayKernel& k : set.kernels) {
       const std::size_t fft_n = stats::delay_fft_size(grid_n, k);
       if (fft_n == 0) continue;
       const std::size_t cost = 2 * (fft_n / 2 + 1) * sizeof(double);
@@ -259,18 +246,9 @@ std::shared_ptr<const DelayKernelSet> CompiledDesign::delay_kernels(
       stats::precompute_kernel_spectrum(k, fft_n, ws);
       bytes += cost;
     }
-    set->spec_grid_n = grid_n;
+    set.spec_grid_n = grid_n;
   }
-  std::lock_guard<std::mutex> lock(kernel_mutex_);
-  const auto [it, inserted] = kernel_cache_.emplace(key, std::move(set));
-  if (inserted && kernel_cache_.size() > kMaxKernelSets) {
-    // Evict the smallest other key — bounded memory; outstanding
-    // shared_ptrs keep evicted sets alive for their users.
-    auto victim = kernel_cache_.begin();
-    if (victim == it) ++victim;
-    kernel_cache_.erase(victim);
-  }
-  return it->second;
+  return set;
 }
 
 void CompiledDesign::check_source_stats(

@@ -19,14 +19,14 @@
 ///
 /// The delay model is the only delay state an analysis has: `Analyzer`
 /// and `IncrementalSpsta` both read and edit it here. `set_delay` patches
-/// it in place, bumps `delay_epoch()` and drops the precomputed delay
-/// kernels; nothing topological is rebuilt. The delay-derived products —
-/// the numeric grid's structural delay span and the content hash — are
-/// computed on read, so they can never go stale.
+/// it in place and bumps `delay_epoch()`; nothing topological is rebuilt.
+/// The delay-derived products — the numeric grid's structural delay span,
+/// the content hash and the numeric engine's delay kernels
+/// (`build_delay_kernel_set`) — are computed on read, so they can never go
+/// stale. The plan holds no cache and no lock.
 ///
-/// Thread model: concurrent runs over one plan are safe (the kernel cache
-/// is internally synchronized, and cached entries are bit-identical to
-/// recomputation). `set_delay` must not race a run.
+/// Thread model: concurrent runs over one plan are safe (runs only read
+/// it). `set_delay` must not race a run.
 ///
 /// Every engine gains a `run_*(const CompiledDesign&, ...)` overload that
 /// skips all structural work; the legacy `(Netlist, DelayModel, ...)`
@@ -35,11 +35,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "netlist/delay_model.hpp"
@@ -54,18 +50,19 @@ namespace spsta::core {
 struct SpstaOptions;
 
 /// Per-(gate, transition) delay kernels discretized on one grid step —
-/// the numeric engine's SUM-with-delay operators, precomputed once per
-/// distinct `dt` and reused across patterns, runs, and ECO re-queries.
+/// the numeric engine's SUM-with-delay operators, built once per numeric
+/// run (`build_delay_kernel_set`) and shared by every pattern and thread of
+/// that run.
 ///
 /// Kernels are deduplicated by the (mean, var) bit patterns of the
 /// underlying Gaussian delays — a uniform delay model collapses to one
 /// unique kernel per direction — and each node indexes into the unique
-/// pool. When built for a known grid size (`delay_kernels(dt, grid_n)`),
-/// the unique kernels additionally carry their FFT half-spectra
-/// precomputed for that size (under `kMaxSpectraBytes`), so the numeric
-/// engine's batched convolutions skip the kernel transform entirely.
-/// Spectra are built with the exact function the on-the-fly path uses,
-/// so precomputation changes cost, never a result bit.
+/// pool. When built for a known grid size, the unique kernels
+/// additionally carry their FFT half-spectra precomputed for that size
+/// (under `kMaxSpectraBytes`), so the numeric engine's batched
+/// convolutions skip the kernel transform entirely. Spectra are built
+/// with the exact function the on-the-fly path uses, so precomputation
+/// changes cost, never a result bit.
 struct DelayKernelSet {
   double dt = 0.0;
   std::size_t spec_grid_n = 0;  ///< grid size the spectra were built for (0 = none)
@@ -94,10 +91,9 @@ class CompiledDesign {
   [[nodiscard]] std::size_t node_count() const noexcept { return combinational_.size(); }
 
   /// Sets one node's common delay (clearing its per-direction overrides,
-  /// as DelayModel::set_delay does), bumps delay_epoch() and drops the
-  /// precomputed delay kernels. Topology and adjacency are untouched.
-  /// Throws std::invalid_argument for a bad id. Must not
-  /// race a run over this plan.
+  /// as DelayModel::set_delay does) and bumps delay_epoch(). Topology and
+  /// adjacency are untouched. Throws std::invalid_argument for a bad id.
+  /// Must not race a run over this plan.
   void set_delay(netlist::NodeId id, const stats::Gaussian& delay);
   /// Number of set_delay calls so far — lets a reader that caches
   /// delay-derived state (IncrementalSpsta) detect edits it did not make.
@@ -160,26 +156,6 @@ class CompiledDesign {
       std::span<const netlist::SourceStats> source_stats,
       const SpstaOptions& options) const;
 
-  // -- Precomputed delay kernels ---------------------------------------
-  /// Discretized Gaussian delay kernels for every combinational node on
-  /// grid step \p dt (sigmas fixed at 8.0 — the engine's tail coverage),
-  /// deduplicated across nodes. When \p grid_n (the engine's grid point
-  /// count) is nonzero, the unique kernels that would take the FFT path
-  /// at that size also carry precomputed half-spectra (bounded by
-  /// `kMaxSpectraBytes`). Built once per distinct (dt, grid_n), internally
-  /// synchronized, and shared — a kernel is a pure function of
-  /// (delay, dt), so cached and freshly built kernels are bit-identical.
-  /// The cache keeps the most recent `kMaxKernelSets` keys; outstanding
-  /// shared_ptrs stay valid after eviction, and set_delay empties it.
-  [[nodiscard]] std::shared_ptr<const DelayKernelSet> delay_kernels(
-      double dt, std::size_t grid_n = 0) const;
-
-  static constexpr std::size_t kMaxKernelSets = 16;
-  /// Upper bound on precomputed-spectrum bytes per kernel set; unique
-  /// kernels past the budget fall back to on-the-fly spectra (same bits,
-  /// more work).
-  static constexpr std::size_t kMaxSpectraBytes = std::size_t{64} << 20;
-
   /// FNV-1a content hash over the netlist structure (names, types, fanins,
   /// output/DFF markings) and the observable delay assignment. Equal
   /// inputs hash equal across runs and platforms; any netlist or delay
@@ -213,13 +189,22 @@ class CompiledDesign {
   std::vector<netlist::NodeId> timing_endpoints_;
 
   std::uint64_t delay_epoch_ = 0;
-
-  mutable std::mutex kernel_mutex_;
-  /// Keyed on (bit pattern of dt, grid_n) — exact match, no tolerance
-  /// games; distinct grid sizes carry distinct precomputed spectra.
-  mutable std::map<std::pair<std::uint64_t, std::uint64_t>,
-                   std::shared_ptr<const DelayKernelSet>>
-      kernel_cache_;
 };
+
+/// Upper bound on precomputed-spectrum bytes per kernel set; unique
+/// kernels past the budget fall back to on-the-fly spectra (same bits,
+/// more work).
+inline constexpr std::size_t kMaxSpectraBytes = std::size_t{64} << 20;
+
+/// Discretized Gaussian delay kernels for every combinational node of
+/// \p plan on grid step \p dt (sigmas fixed at 8.0 — the engine's tail
+/// coverage), deduplicated across nodes in node order. When \p grid_n (the
+/// engine's grid point count) is nonzero, the unique kernels that would
+/// take the FFT path at that size also carry precomputed half-spectra, in
+/// intern order, until `kMaxSpectraBytes` runs out. A kernel is a pure
+/// function of (delay, dt), so two sets built from equal delays are
+/// bit-identical.
+[[nodiscard]] DelayKernelSet build_delay_kernel_set(const CompiledDesign& plan,
+                                                    double dt, std::size_t grid_n = 0);
 
 }  // namespace spsta::core

@@ -26,10 +26,6 @@
 #include "stats/gaussian.hpp"
 #include "stats/piecewise.hpp"
 
-namespace spsta::util {
-class ThreadPool;
-}
-
 namespace spsta::core {
 
 class CompiledDesign;
@@ -87,12 +83,9 @@ struct SpstaOptions {
   std::size_t max_grid_points = 4096;
   /// Worker threads for level-parallel gate evaluation (0 = all hardware
   /// threads). Nodes within one levelization level are independent, so
-  /// results are bit-identical at any thread count.
+  /// results are bit-identical at any thread count. Each run starts and
+  /// joins its own pool; at 1 it starts no thread.
   unsigned threads = 1;
-  /// Optional long-lived pool (e.g. the Analyzer's); when set it overrides
-  /// `threads` for dispatch and the run spawns no threads of its own. The
-  /// pool must be idle (ThreadPool runs one job at a time).
-  util::ThreadPool* shared_pool = nullptr;
 };
 
 // NOTE: the run_* functions below are implementation-level entry points.
@@ -116,7 +109,7 @@ struct SpstaOptions {
     const netlist::Netlist& design, const netlist::DelayModel& delays,
     std::span<const netlist::SourceStats> source_stats);
 
-/// Moment engine with explicit options (threads / shared pool; the grid
+/// Moment engine with explicit options (threads; the grid
 /// fields are ignored — the Analyzer facade rejects requests that set
 /// them for this engine). The no-options overload uses defaults.
 [[nodiscard]] SpstaResult run_spsta_moment(

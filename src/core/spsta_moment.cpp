@@ -117,9 +117,7 @@ SpstaResult run_spsta_moment(const CompiledDesign& plan,
   static obs::LatencyHistogram& stage_hist =
       obs::registry().histogram("stage.moment.propagate");
   const obs::StageTimer timer(stage_hist);
-  util::ThreadPool local_pool(options.shared_pool != nullptr ? 1 : options.threads);
-  util::ThreadPool& pool =
-      options.shared_pool != nullptr ? *options.shared_pool : local_pool;
+  util::ThreadPool pool(options.threads);
   for (std::size_t level = 0; level < plan.level_count(); ++level) {
     const std::span<const NodeId> group = plan.level_nodes(level);
     pool.for_each_index(group.size(), [&](std::size_t k) {

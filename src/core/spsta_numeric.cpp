@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <memory>
 
 #include "core/compiled_design.hpp"
 #include "core/patterns.hpp"
@@ -66,11 +65,10 @@ SpstaNumericResult run_spsta_numeric(const CompiledDesign& plan,
   }
 
   // Every combinational node's SUM-with-delay operator, discretized once
-  // per grid step, deduplicated across nodes, with FFT half-spectra
-  // precomputed for this grid size — shared across patterns, runs, and
-  // threads.
-  const std::shared_ptr<const DelayKernelSet> kernels =
-      plan.delay_kernels(result.grid.dt, result.grid.n);
+  // per run, deduplicated across nodes, with FFT half-spectra precomputed
+  // for this grid size — shared by every pattern and thread of the run.
+  const DelayKernelSet kernels =
+      build_delay_kernel_set(plan, result.grid.dt, result.grid.n);
 
   // Gate evaluation is level-parallel: a node's fanins live in strictly
   // lower levels, so every node of one level reads finished state and
@@ -155,13 +153,13 @@ SpstaNumericResult run_spsta_numeric(const CompiledDesign& plan,
     if (any_rise) {
       ex.src[ex.cols] = rise_acc;
       ex.dst[ex.cols] = top.rise.mutable_values();
-      ex.kernel[ex.cols] = &kernels->rise(id);
+      ex.kernel[ex.cols] = &kernels.rise(id);
       ++ex.cols;
     }
     if (any_fall) {
       ex.src[ex.cols] = fall_acc;
       ex.dst[ex.cols] = top.fall.mutable_values();
-      ex.kernel[ex.cols] = &kernels->fall(id);
+      ex.kernel[ex.cols] = &kernels.fall(id);
       ++ex.cols;
     }
     if (ex.cols > 0) stats::conv_execute(ex);
@@ -170,9 +168,7 @@ SpstaNumericResult run_spsta_numeric(const CompiledDesign& plan,
   static obs::LatencyHistogram& stage_hist =
       obs::registry().histogram("stage.numeric.propagate");
   const obs::StageTimer timer(stage_hist);
-  util::ThreadPool local_pool(options.shared_pool != nullptr ? 1 : options.threads);
-  util::ThreadPool& pool =
-      options.shared_pool != nullptr ? *options.shared_pool : local_pool;
+  util::ThreadPool pool(options.threads);
   for (std::size_t level = 0; level < plan.level_count(); ++level) {
     const std::span<const NodeId> group = plan.level_nodes(level);
     pool.for_each_index(group.size(),

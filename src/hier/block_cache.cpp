@@ -102,12 +102,7 @@ std::shared_ptr<const CompiledBlock> BlockLibrary::intern(const netlist::Netlist
   }
 
   // Compile outside the lock: interning must not stall other hierarchies.
-  netlist::Netlist design = block;
-  netlist::DelayModel delays = netlist::DelayModel::unit(design);
-  auto entry = std::make_shared<CompiledBlock>(
-      CompiledBlock{std::move(design), std::move(delays), nullptr, 0});
-  entry->plan = std::make_unique<core::CompiledDesign>(entry->design, entry->delays);
-  entry->hash = entry->plan->content_hash();
+  auto entry = std::make_shared<CompiledBlock>(block);
 
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = blocks_.find(key);

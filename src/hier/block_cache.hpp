@@ -84,14 +84,20 @@ class BlockModelCache {
   std::atomic<std::uint64_t> evictions_{0};
 };
 
-/// One interned block: the netlist, its delay model and the CompiledDesign
-/// plan built over them. Heap-pinned (shared_ptr) so the plan's reference
-/// to the netlist stays valid for the entry's whole lifetime.
+/// One interned block: the netlist and the CompiledDesign plan built over
+/// it, whose unit delay model is the block's only one. Heap-pinned
+/// (shared_ptr) and immovable so the plan's reference to the netlist stays
+/// valid for the entry's whole lifetime.
 struct CompiledBlock {
+  explicit CompiledBlock(const netlist::Netlist& block)
+      : design(block), plan(design, netlist::DelayModel::unit(design)),
+        hash(plan.content_hash()) {}
+  CompiledBlock(const CompiledBlock&) = delete;
+  CompiledBlock& operator=(const CompiledBlock&) = delete;
+
   netlist::Netlist design;
-  netlist::DelayModel delays;
-  std::unique_ptr<core::CompiledDesign> plan;
-  std::uint64_t hash = 0;  ///< plan content hash (netlist + delays)
+  core::CompiledDesign plan;  ///< points into design: declared after it
+  std::uint64_t hash = 0;     ///< plan content hash (netlist + delays)
 
   [[nodiscard]] std::size_t approx_bytes() const noexcept {
     return 4096 + design.node_count() * 1024;

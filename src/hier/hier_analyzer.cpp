@@ -129,7 +129,7 @@ HierReport HierAnalyzer::run(const AnalysisRequest& request,
     const netlist::HierInstance& inst = design_.instances()[i];
     const CompiledBlock& block = *compiled_[inst.block];
     const std::size_t ports = block.design.primary_inputs().size();
-    const std::size_t nsources = block.plan->timing_sources().size();
+    const std::size_t nsources = block.plan.timing_sources().size();
 
     // Block sources are primary inputs first, then DFF outputs (the
     // Netlist::timing_sources order the engines require).
@@ -174,7 +174,7 @@ HierReport HierAnalyzer::run(const AnalysisRequest& request,
     std::shared_ptr<const BlockTimingModel> model = models_->find(signature);
     if (model == nullptr) {
       auto fresh = std::make_shared<BlockTimingModel>(
-          extract_block_model(*block.plan, request.engine, sources, opts));
+          extract_block_model(block.plan, request.engine, sources, opts));
       fresh->signature = signature;
       models_->insert(fresh);
       model = std::move(fresh);

@@ -487,9 +487,7 @@ MonteCarloResult run_monte_carlo(const core::CompiledDesign& plan,
     static obs::LatencyHistogram& shard_hist =
         obs::registry().histogram("stage.mc.shards");
     const obs::StageTimer timer(shard_hist);
-    util::ThreadPool local_pool(config.shared_pool != nullptr ? 1 : config.threads);
-    util::ThreadPool& pool =
-        config.shared_pool != nullptr ? *config.shared_pool : local_pool;
+    util::ThreadPool pool(config.threads);
     pool.for_each_index(num_chunks, run_chunk);
   }
 

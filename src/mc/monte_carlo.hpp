@@ -21,9 +21,6 @@
 namespace spsta::core {
 class CompiledDesign;
 }
-namespace spsta::util {
-class ThreadPool;
-}
 
 namespace spsta::mc {
 
@@ -34,7 +31,8 @@ struct MonteCarloConfig {
   /// Worker threads sharding the runs (0 = all hardware threads). Each
   /// run draws from its own RNG stream seeded by (seed, run index) and
   /// runs are accumulated chunk-by-chunk in a layout that depends only on
-  /// `runs`, so results are bit-identical at any thread count.
+  /// `runs`, so results are bit-identical at any thread count. Each run
+  /// starts and joins its own pool; at 1 it starts no thread.
   unsigned threads = 1;
   /// Optional node whose rise-arrival samples are histogrammed (Fig. 1).
   std::optional<netlist::NodeId> histogram_node;
@@ -44,10 +42,6 @@ struct MonteCarloConfig {
   /// Track the per-run maximum arrival over all timing endpoints (either
   /// direction) — the circuit-level delay sample behind timing yield.
   bool track_circuit_max = false;
-  /// Optional long-lived pool (e.g. the Analyzer's); when set it overrides
-  /// `threads` for dispatch and the run spawns no threads of its own. The
-  /// pool must be idle (ThreadPool runs one job at a time).
-  util::ThreadPool* shared_pool = nullptr;
 };
 
 /// Accumulated per-node estimates.

@@ -1,9 +1,11 @@
 #include "service/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "core/patterns.hpp"
@@ -56,47 +58,6 @@ double number_field(const Json& object, std::string_view key, double fallback,
     fail(ErrorCode::BadParams, "'" + std::string(key) + "' out of range");
   }
   return x;
-}
-
-AnalyzeParams parse_params(const Json& body) {
-  AnalyzeParams p;
-  const Json* params = body.find("params");
-  if (params == nullptr) return p;
-  if (!params->is_object()) {
-    fail(ErrorCode::BadParams, "'params' must be an object");
-  }
-  // Only client-supplied fields are set on the request: unset optionals
-  // take the engine defaults, and a supplied field the engine cannot honor
-  // is rejected by Analyzer::validate in ensure_analysis.
-  if (params->find("threads") != nullptr) {
-    p.request.threads =
-        static_cast<unsigned>(number_field(*params, "threads", 1, 0, 1024));
-  }
-  if (params->find("grid_dt") != nullptr) {
-    p.request.grid_dt = number_field(*params, "grid_dt", 0.05, 1e-6, 1e6);
-  }
-  if (params->find("grid_pad_sigma") != nullptr) {
-    p.request.grid_pad_sigma = number_field(*params, "grid_pad_sigma", 8.0, 0, 64);
-  }
-  if (params->find("max_grid_points") != nullptr) {
-    p.request.max_grid_points = static_cast<std::size_t>(
-        number_field(*params, "max_grid_points", 4096, 2, 1 << 22));
-  }
-  if (params->find("runs") != nullptr) {
-    p.request.runs =
-        static_cast<std::uint64_t>(number_field(*params, "runs", 10000, 1, 1e9));
-  }
-  if (params->find("seed") != nullptr) {
-    p.request.seed = static_cast<std::uint64_t>(
-        number_field(*params, "seed", 1, 0, 9.007199254740992e15));
-  }
-  for (const Json::Member& m : params->as_object()) {
-    if (m.first != "threads" && m.first != "grid_dt" && m.first != "grid_pad_sigma" &&
-        m.first != "max_grid_points" && m.first != "runs" && m.first != "seed") {
-      fail(ErrorCode::BadParams, "unknown parameter '" + m.first + "'");
-    }
-  }
-  return p;
 }
 
 Engine engine_of(const Json& body, Engine fallback = Engine::SpstaMoment) {
@@ -193,38 +154,51 @@ Json node_stats_json(const CachedAnalysis& analysis, NodeId id) {
   return j;
 }
 
-/// Endpoint summary + worst endpoint (by mean arrival over both
-/// directions, transitions with vanishing probability excluded).
+/// Wraps endpoint rows into a reply and adds the worst endpoint: the
+/// direction with the largest mean arrival over all rows, transitions with
+/// vanishing probability (p < 1e-9) excluded. The worst entry copies the
+/// row's "node" (when it has one) and "name" ahead of the direction.
+Json endpoints_reply(Json endpoints) {
+  double worst_mean = -1e300;
+  const Json* worst_row = nullptr;
+  const char* worst_direction = nullptr;
+  for (const Json& row : endpoints.as_array()) {
+    for (const char* direction : {"rise", "fall"}) {
+      const Json* dir = row.find(direction);
+      if (dir == nullptr) continue;
+      const double mean = dir->find("mean")->as_number();
+      if (dir->find("p")->as_number() >= 1e-9 && mean > worst_mean) {
+        worst_mean = mean;
+        worst_row = &row;
+        worst_direction = direction;
+      }
+    }
+  }
+  Json j = Json::object();
+  Json worst;
+  if (worst_row != nullptr) {
+    worst = Json::object();
+    if (const Json* node = worst_row->find("node")) worst.set("node", *node);
+    worst.set("name", *worst_row->find("name"));
+    worst.set("direction", Json(worst_direction));
+    const Json& dir = *worst_row->find(worst_direction);
+    for (const char* field : {"p", "mean", "std"}) worst.set(field, *dir.find(field));
+  }
+  j.set("endpoints", std::move(endpoints));
+  if (!worst.is_null()) j.set("worst", std::move(worst));
+  return j;
+}
+
+/// Endpoint summary + worst endpoint of a flat analysis.
 Json endpoints_json(const Session& session, const CachedAnalysis& analysis) {
   Json endpoints = Json::array();
-  double worst_mean = -1e300;
-  Json worst;
   for (const NodeId ep : session.design().timing_endpoints()) {
     Json row = node_stats_json(analysis, ep);
     row.set("node", Json(static_cast<std::uint64_t>(ep)));
     row.set("name", Json(session.design().node(ep).name));
-    for (const bool rising : {true, false}) {
-      const Json* dir = row.find(rising ? "rise" : "fall");
-      if (dir == nullptr) continue;
-      const double p = dir->find("p")->as_number();
-      const double mean = dir->find("mean")->as_number();
-      if (p >= 1e-9 && mean > worst_mean) {
-        worst_mean = mean;
-        worst = Json::object();
-        worst.set("node", Json(static_cast<std::uint64_t>(ep)));
-        worst.set("name", Json(session.design().node(ep).name));
-        worst.set("direction", Json(rising ? "rise" : "fall"));
-        worst.set("p", Json(p));
-        worst.set("mean", Json(mean));
-        worst.set("std", *dir->find("std"));
-      }
-    }
     endpoints.push_back(std::move(row));
   }
-  Json j = Json::object();
-  j.set("endpoints", std::move(endpoints));
-  if (!worst.is_null()) j.set("worst", std::move(worst));
-  return j;
+  return endpoints_reply(std::move(endpoints));
 }
 
 struct LoadedText {
@@ -242,35 +216,15 @@ std::string infer_format(const std::string& path) {
        "cannot infer format from '" + path + "'; pass \"format\"");
 }
 
-/// Hierarchical counterpart of endpoints_json: one row per top output,
-/// same worst-endpoint rule (max mean arrival, vanishing mass excluded).
+/// Hierarchical counterpart of endpoints_json: one row per top output.
 Json hier_endpoints_json(const hier::HierReport& report) {
   Json endpoints = Json::array();
-  double worst_mean = -1e300;
-  Json worst;
   for (const std::size_t sig : report.outputs) {
-    const hier::PortTop& top = report.signals.at(sig);
-    const std::string& name = report.signal_names.at(sig);
-    Json row = node_top_json(top);
-    row.set("name", Json(name));
-    for (const bool rising : {true, false}) {
-      const core::TransitionTop& t = rising ? top.rise : top.fall;
-      if (t.mass >= 1e-9 && t.arrival.mean > worst_mean) {
-        worst_mean = t.arrival.mean;
-        worst = Json::object();
-        worst.set("name", Json(name));
-        worst.set("direction", Json(rising ? "rise" : "fall"));
-        worst.set("p", Json(t.mass));
-        worst.set("mean", Json(t.arrival.mean));
-        worst.set("std", Json(t.arrival.stddev()));
-      }
-    }
+    Json row = node_top_json(report.signals.at(sig));
+    row.set("name", Json(report.signal_names.at(sig)));
     endpoints.push_back(std::move(row));
   }
-  Json j = Json::object();
-  j.set("endpoints", std::move(endpoints));
-  if (!worst.is_null()) j.set("worst", std::move(worst));
-  return j;
+  return endpoints_reply(std::move(endpoints));
 }
 
 /// Sheds a request whose deadline lapsed while it waited — called by the
@@ -323,6 +277,50 @@ Json metrics_json() {
   }
   j.set("stages", std::move(stages));
   return j;
+}
+
+AnalyzeParams AnalyzeParams::parse(const Json& body) {
+  AnalyzeParams p;
+  const Json* params = body.find("params");
+  if (params == nullptr) return p;
+  if (!params->is_object()) {
+    fail(ErrorCode::BadParams, "'params' must be an object");
+  }
+  // Only client-supplied fields are set on the request: unset optionals
+  // take the engine defaults, and a supplied field the engine cannot honor
+  // is rejected by Analyzer::validate in ensure_analysis.
+  if (params->find("threads") != nullptr) {
+    // Every run starts its own pool, so one request must not start more
+    // workers than the host has cores; results do not depend on the count.
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    p.request.threads = std::min(
+        static_cast<unsigned>(number_field(*params, "threads", 1, 0, 1024)), hw);
+  }
+  if (params->find("grid_dt") != nullptr) {
+    p.request.grid_dt = number_field(*params, "grid_dt", 0.05, 1e-6, 1e6);
+  }
+  if (params->find("grid_pad_sigma") != nullptr) {
+    p.request.grid_pad_sigma = number_field(*params, "grid_pad_sigma", 8.0, 0, 64);
+  }
+  if (params->find("max_grid_points") != nullptr) {
+    p.request.max_grid_points = static_cast<std::size_t>(
+        number_field(*params, "max_grid_points", 4096, 2, 1 << 22));
+  }
+  if (params->find("runs") != nullptr) {
+    p.request.runs =
+        static_cast<std::uint64_t>(number_field(*params, "runs", 10000, 1, 1e9));
+  }
+  if (params->find("seed") != nullptr) {
+    p.request.seed = static_cast<std::uint64_t>(
+        number_field(*params, "seed", 1, 0, 9.007199254740992e15));
+  }
+  for (const Json::Member& m : params->as_object()) {
+    if (m.first != "threads" && m.first != "grid_dt" && m.first != "grid_pad_sigma" &&
+        m.first != "max_grid_points" && m.first != "runs" && m.first != "seed") {
+      fail(ErrorCode::BadParams, "unknown parameter '" + m.first + "'");
+    }
+  }
+  return p;
 }
 
 std::string AnalyzeParams::cache_key(Engine engine) const {
@@ -588,7 +586,7 @@ Response AnalysisService::handle_analyze(const Request& request) {
   const std::shared_ptr<Session> session_ptr = resolve_session(request);
   Session& session = *session_ptr;
   const Engine engine = engine_of(request.body);
-  const AnalyzeParams params = parse_params(request.body);
+  const AnalyzeParams params = AnalyzeParams::parse(request.body);
 
   const std::lock_guard<std::mutex> lock(session.mutex);
   // Second shed point: the wait for session.mutex (another client's long
@@ -647,7 +645,7 @@ Response AnalysisService::handle_query(const Request& request) {
   const std::shared_ptr<Session> session_ptr = resolve_session(request);
   Session& session = *session_ptr;
   const Engine engine = engine_of(request.body);
-  const AnalyzeParams params = parse_params(request.body);
+  const AnalyzeParams params = AnalyzeParams::parse(request.body);
   if (session.is_hier()) {
     fail(ErrorCode::BadParams,
          "query targets flat sessions; analyze reports hierarchical endpoints");

@@ -56,6 +56,11 @@ using spsta::to_string;
 struct AnalyzeParams {
   AnalysisRequest request;
 
+  /// Parses the optional "params" object of an analyze or query body.
+  /// `threads` is clamped to the host's hardware threads. Malformed
+  /// params throw; `execute` answers them with bad_params.
+  [[nodiscard]] static AnalyzeParams parse(const Json& body);
+
   /// Cache key for (engine, params). `threads` is deliberately excluded:
   /// the execution layer's determinism contract makes results bit-identical
   /// at any thread count, so a 1-thread and an 8-thread run share a cache

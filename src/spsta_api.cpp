@@ -114,18 +114,6 @@ void Analyzer::validate(const AnalysisRequest& request) {
   }
 }
 
-util::ThreadPool* Analyzer::acquire_pool(unsigned threads,
-                                         std::unique_lock<std::mutex>& lock) {
-  lock = std::unique_lock<std::mutex>(pool_mutex_, std::try_to_lock);
-  if (!lock.owns_lock()) return nullptr;  // concurrent run holds the pool
-  const unsigned resolved = util::resolve_threads(threads);
-  if (resolved <= 1) return nullptr;  // serial runs need no pool at all
-  if (!pool_ || pool_->size() != resolved) {
-    pool_ = std::make_unique<util::ThreadPool>(resolved);
-  }
-  return pool_.get();
-}
-
 AnalysisReport Analyzer::run(const AnalysisRequest& request) {
   validate(request);
   const unsigned threads = request.threads.value_or(options_.threads);
@@ -138,8 +126,6 @@ AnalysisReport Analyzer::run(const AnalysisRequest& request) {
     case Engine::SpstaNumeric: {
       core::SpstaOptions opts;
       opts.threads = threads;
-      std::unique_lock<std::mutex> pool_lock;
-      opts.shared_pool = acquire_pool(threads, pool_lock);
       if (request.engine == Engine::SpstaNumeric) {
         const core::SpstaOptions defaults;
         opts.grid_dt = request.grid_dt.value_or(defaults.grid_dt);
@@ -164,8 +150,6 @@ AnalysisReport Analyzer::run(const AnalysisRequest& request) {
       cfg.runs = request.runs.value_or(cfg.runs);
       cfg.seed = request.seed.value_or(cfg.seed);
       cfg.track_circuit_max = request.track_circuit_max.value_or(false);
-      std::unique_lock<std::mutex> pool_lock;
-      cfg.shared_pool = acquire_pool(threads, pool_lock);
       report.result = mc::run_monte_carlo(plan_, sources_, cfg);
       break;
     }

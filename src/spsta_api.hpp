@@ -31,8 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -47,7 +45,6 @@
 #include "netlist/four_value.hpp"
 #include "netlist/netlist.hpp"
 #include "ssta/ssta.hpp"
-#include "util/thread_pool.hpp"
 
 namespace spsta {
 
@@ -73,7 +70,7 @@ enum class Engine { SpstaMoment, SpstaNumeric, Canonical, Ssta, Mc };
 ///     thread-count-invariant, and serial engines run on one thread).
 ///
 /// Numeric runs execute on the fast kernel layer (DESIGN.md §12, §16):
-/// delay kernels and their FFT spectra are precomputed in the plan,
+/// each run builds its delay kernels and their FFT spectra once up front,
 /// each node issues one batched convolution over both transition
 /// columns, and the inner loops dispatch to a runtime-selected SIMD
 /// tier that is bit-identical to the scalar reference. Two process-wide
@@ -132,13 +129,13 @@ struct AnalyzerOptions {
   unsigned threads = 1;
 };
 
-/// The unified analysis entry point: owns the design, its compiled plan,
-/// and the execution resources shared across runs (the thread pool).
+/// The unified analysis entry point: owns the design and its compiled
+/// plan. It holds no cache, pool or lock: each run owns its thread pool
+/// (none at `threads` = 1) and, for the numeric engine, its delay kernels.
 ///
 /// Thread model: `run()` is safe to call concurrently — runs only read
-/// the plan; concurrent runs that contend for the shared pool fall back to
-/// a private one. ECO edits (`set_delay`, `set_source`) must not race
-/// running analyses.
+/// the plan and the sources. ECO edits (`set_delay`, `set_source`) must
+/// not race running analyses.
 class Analyzer {
  public:
   using Options = AnalyzerOptions;
@@ -189,18 +186,10 @@ class Analyzer {
   void set_source(std::size_t source_index, const netlist::SourceStats& stats);
 
  private:
-  /// Pool for `threads` participants if the shared one is free, else null
-  /// (caller uses a private pool). The unique_lock keeps it reserved.
-  [[nodiscard]] util::ThreadPool* acquire_pool(unsigned threads,
-                                               std::unique_lock<std::mutex>& lock);
-
   netlist::Netlist design_;
   core::CompiledDesign plan_;  ///< points into design_: declared after it
   std::vector<netlist::SourceStats> sources_;
   Options options_;
-
-  std::mutex pool_mutex_;
-  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace spsta

@@ -51,9 +51,10 @@ class Workspace {
   Workspace& operator=(const Workspace&) = delete;
 
   /// The calling thread's arena (thread-local; created on first use and
-  /// kept for the thread's lifetime, so repeated runs on a long-lived pool
-  /// reuse warm buffers). Resolve once per task, then pass the reference
-  /// down — see the threading contract above.
+  /// kept for the thread's lifetime, so repeated runs from one calling
+  /// thread, or waves on an incremental engine's pool, reuse warm buffers;
+  /// a run's own pool workers start cold). Resolve once per task, then
+  /// pass the reference down — see the threading contract above.
   [[nodiscard]] static Workspace& local();
 
   /// Scratch buffer for \p slot, sized to exactly \p n doubles. Contents

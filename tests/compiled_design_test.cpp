@@ -290,16 +290,17 @@ void expect_same_kernels(const core::DelayKernelSet& a, const core::DelayKernelS
 }
 
 // The plan takes delay edits in place: a probe never writes it (epoch and
-// cached kernels survive), while set_delay drops the kernels, and the
-// rebuilt ones — like the span products and hash — equal a new plan's.
+// the kernels built from it are unchanged), while after set_delay the
+// kernels built on the edited plan — like the span products and hash —
+// equal a new plan's.
 TEST(CompiledDesign, SetDelayPatchesInPlaceAndProbesNeverWrite) {
   const netlist::Netlist n = test_circuit();
   netlist::DelayModel d = netlist::DelayModel::gaussian(n, 1.0, 0.05);
   core::CompiledDesign plan(n, d);
   const std::vector sources{netlist::scenario_I()};
   const stats::GridSpec grid = plan.grid_for(sources, core::SpstaOptions{});
-  const std::shared_ptr<const core::DelayKernelSet> kernels =
-      plan.delay_kernels(grid.dt, grid.n);
+  const core::DelayKernelSet kernels =
+      core::build_delay_kernel_set(plan, grid.dt, grid.n);
 
   NodeId gate = netlist::kInvalidNode;
   for (NodeId id = 0; id < n.node_count(); ++id) {
@@ -314,16 +315,17 @@ TEST(CompiledDesign, SetDelayPatchesInPlaceAndProbesNeverWrite) {
                                     plan.timing_endpoints().end());
   (void)inc.probe({&edit, 1}, targets);
   EXPECT_EQ(plan.delay_epoch(), 0u);
-  EXPECT_EQ(plan.delay_kernels(grid.dt, grid.n), kernels);
+  expect_same_kernels(core::build_delay_kernel_set(plan, grid.dt, grid.n), kernels);
 
   inc.set_delay(gate, {4.0, 0.3});
   d.set_delay(gate, {4.0, 0.3});
   EXPECT_EQ(plan.delay_epoch(), 1u);
   const core::CompiledDesign want(n, d);
-  const std::shared_ptr<const core::DelayKernelSet> patched =
-      plan.delay_kernels(grid.dt, grid.n);
-  EXPECT_NE(patched, kernels);
-  expect_same_kernels(*patched, *want.delay_kernels(grid.dt, grid.n));
+  const core::DelayKernelSet patched =
+      core::build_delay_kernel_set(plan, grid.dt, grid.n);
+  EXPECT_NE(patched.kernels[patched.rise_index[gate]].taps,
+            kernels.kernels[kernels.rise_index[gate]].taps);
+  expect_same_kernels(patched, core::build_delay_kernel_set(want, grid.dt, grid.n));
   EXPECT_EQ(plan.structural_delay(), want.structural_delay());
   EXPECT_EQ(plan.max_delay_stddev(), want.max_delay_stddev());
   EXPECT_EQ(plan.content_hash(), want.content_hash());

@@ -3,6 +3,7 @@
 // thread count (see DESIGN.md §"Threading and determinism"). Every
 // comparison below is exact double equality, not a tolerance.
 
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -279,9 +280,9 @@ TEST(Determinism, MetricsRecordingDoesNotPerturbAnyEngine) {
 
 TEST(Determinism, AnalyzerMatchesLegacyAtOneAndManyThreads) {
   // The acceptance criterion of the unified API: results through the
-  // Analyzer facade (compiled plan, shared pool)
-  // are bit-identical to the legacy engine entry points at 1 and N
-  // threads. Repeated runs over the same warm plan must not drift either.
+  // Analyzer facade (compiled plan, per-run pools) are bit-identical to
+  // the legacy engine entry points at 1 and N threads. Repeated runs
+  // over the same warm plan must not drift either.
   const netlist::Netlist n = test_circuit();
   const netlist::DelayModel d = netlist::DelayModel::gaussian(n, 1.0, 0.05);
   const std::vector sources{netlist::scenario_I()};
@@ -447,10 +448,10 @@ TEST(Determinism, EcoTransactionsProbesAndQueriesAreThreadCountInvariant) {
 TEST(Determinism, EveryEngineAfterSessionEcoMatchesAFreshAnalyzer) {
   // One owner for delay state (DESIGN.md §11, §17): after a Session script
   // of batched delay edits, source edits and probes — with numeric and MC
-  // runs in between, so stale precomputed kernels would show — every
-  // engine on the session's Analyzer, and the SSTA arrivals the warm
-  // engine serves, are bit-identical to a fresh Analyzer built on the
-  // final delays and sources, at 1, 2 and 8 threads.
+  // runs in between, so kernels or state kept from an earlier run would
+  // show — every engine on the session's Analyzer, and the SSTA arrivals
+  // the warm engine serves, are bit-identical to a fresh Analyzer built on
+  // the final delays and sources, at 1, 2 and 8 threads.
   using EcoEdit = core::IncrementalSpsta::EcoEdit;
   const netlist::Netlist n = test_circuit();
   const std::vector<NodeId> endpoints = n.timing_endpoints();
@@ -470,7 +471,7 @@ TEST(Determinism, EveryEngineAfterSessionEcoMatchesAFreshAnalyzer) {
     AnalysisRequest request;
     request.threads = threads;
     for (int round = 0; round < 5; ++round) {
-      // Warm the plan's kernel cache before each batch.
+      // Run numeric or MC on the plan before each batch.
       request.engine = round % 2 == 0 ? Engine::SpstaNumeric : Engine::Mc;
       if (request.engine == Engine::Mc) {
         request.runs = 300;
@@ -505,8 +506,8 @@ TEST(Determinism, EveryEngineAfterSessionEcoMatchesAFreshAnalyzer) {
       if (round % 2 == 1) (void)session.incremental->ssta();
     }
     // A variance-only edit of an unedited gate, below the largest sigma,
-    // keeps the numeric grid — the kernel cache key — unchanged: only
-    // dropping the kernels keeps the next numeric run off the old delay.
+    // keeps the numeric grid unchanged: only kernels built from the current
+    // delays keep the next numeric run off the old delay.
     request.engine = Engine::SpstaNumeric;
     (void)session.analyzer->run(request);
     NodeId quiet = netlist::kInvalidNode;
@@ -554,6 +555,43 @@ TEST(Determinism, EveryEngineAfterSessionEcoMatchesAFreshAnalyzer) {
           break;
       }
     }
+  }
+}
+
+TEST(Determinism, ConcurrentAnalyzerRunsMatchSerialRuns) {
+  // Analyzer::run is safe to call concurrently (spsta_api.hpp): runs only
+  // read the plan and sources, and each owns its pool and kernels. Two
+  // threads run moment, numeric and MC on one Analyzer at 2 threads each;
+  // every result is bit-identical to the same request run serially.
+  const netlist::Netlist n = test_circuit();
+  Analyzer analyzer(n, netlist::DelayModel::gaussian(n, 1.0, 0.05),
+                    {netlist::scenario_I()});
+  std::vector<AnalysisRequest> requests(3);
+  requests[0].engine = Engine::SpstaMoment;
+  requests[1].engine = Engine::SpstaNumeric;
+  requests[2].engine = Engine::Mc;
+  requests[2].runs = 1000;
+  requests[2].seed = 11;
+  for (AnalysisRequest& r : requests) r.threads = 2;
+
+  std::vector<AnalysisReport> serial;
+  for (const AnalysisRequest& r : requests) serial.push_back(analyzer.run(r));
+
+  constexpr std::size_t kCallers = 2;
+  std::vector<std::vector<AnalysisReport>> concurrent(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&analyzer, &requests, &out = concurrent[c]] {
+      for (const AnalysisRequest& r : requests) out.push_back(analyzer.run(r));
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  for (const std::vector<AnalysisReport>& got : concurrent) {
+    ASSERT_EQ(got.size(), serial.size());
+    expect_tops_equal(got[0].moment().node, serial[0].moment().node);
+    expect_same_numeric(got[1].numeric(), serial[1].numeric());
+    expect_same_mc(got[2].monte_carlo(), serial[2].monte_carlo());
   }
 }
 

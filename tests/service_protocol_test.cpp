@@ -4,10 +4,12 @@
 // load → analyze → ECO → re-query session whose incremental answer is
 // bit-identical to a fresh full analysis of the edited design.
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -146,6 +148,45 @@ TEST(ServiceProtocol, RepeatedAnalyzeIsServedFromCache) {
   const std::string threaded = R"({"cmd":"analyze","session":")" + session +
                                R"(","engine":"ssta","params":{"threads":4}})";
   EXPECT_TRUE(expect_ok(service, threaded).find("cached")->as_bool());
+}
+
+TEST(ServiceProtocol, AnalyzeThreadsAreClampedToTheHost) {
+  // Every run starts its own pool, so the parsed request never asks for
+  // more threads than the host has; 0 still means "all hardware threads".
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const auto parsed_threads = [](unsigned threads) {
+    return AnalyzeParams::parse(Json::parse(R"({"params":{"threads":)" +
+                                            std::to_string(threads) + "}}"))
+        .request.threads;
+  };
+  EXPECT_EQ(parsed_threads(1024), hw);
+  EXPECT_EQ(parsed_threads(hw + 3), hw);
+  EXPECT_EQ(parsed_threads(hw), hw);
+  EXPECT_EQ(parsed_threads(1), 1u);
+  EXPECT_EQ(parsed_threads(0), 0u);
+  EXPECT_FALSE(AnalyzeParams::parse(Json::parse("{}")).request.threads.has_value());
+
+  // A request a few threads above the host's count runs, clamped, and
+  // answers exactly as a 1-thread run in another service does.
+  const auto mc_reply = [](unsigned threads) {
+    AnalysisService service;
+    const std::string session =
+        expect_ok(service, load_line("s27")).find("session")->as_string();
+    const std::string line = R"({"cmd":"analyze","session":")" + session +
+                             R"(","engine":"mc","params":{"runs":300,"threads":)" +
+                             std::to_string(threads) + "}}";
+    const Json reply = expect_ok(service, line);
+    EXPECT_FALSE(reply.find("cached")->as_bool());
+    return reply.find("endpoints")->dump();
+  };
+  EXPECT_EQ(mc_reply(hw + 2), mc_reply(1));
+  AnalysisService service;
+  const std::string session =
+      expect_ok(service, load_line("s27")).find("session")->as_string();
+  expect_error(service,
+               R"({"cmd":"analyze","session":")" + session +
+                   R"(","params":{"threads":1025}})",
+               "bad_params");
 }
 
 TEST(ServiceProtocol, LoadingIdenticalContentReusesTheSession) {
