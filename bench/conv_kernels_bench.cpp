@@ -3,8 +3,7 @@
 // Section 1 times both convolution kernels over a sweep of output lengths
 // and prints the smallest length where the FFT wins — the value the
 // built-in default crossover in stats/conv_kernels.cpp is calibrated
-// against. Override at runtime with SPSTA_CONV_CROSSOVER or
-// stats::set_conv_crossover().
+// against. Override at runtime with stats::set_conv_crossover().
 //
 // Section 2 is the kernel-v2 roofline: per grid size, the SUM-with-delay
 // operator timed per column across {scalar, simd} x {single-column,

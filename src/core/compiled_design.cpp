@@ -10,6 +10,7 @@
 
 #include "core/spsta.hpp"
 #include "stats/workspace.hpp"
+#include "util/fnv1a.hpp"
 
 namespace spsta::core {
 
@@ -17,32 +18,16 @@ using netlist::NodeId;
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+/// The content hash's FNV-1a seed: the standard offset basis
+/// 14695981039346656037 with its last decimal digit dropped. Kept so every
+/// content hash keeps its value.
+constexpr std::uint64_t kContentHashSeed = 1469598103934665603ull;
 
-void mix(std::uint64_t& h, std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
-
-void mix_bytes(std::uint64_t& h, std::string_view bytes) {
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-}
-
-void mix_double(std::uint64_t& h, double v) {
-  // Bit pattern, not value: the hash must move whenever the observable
-  // delay assignment moves, including -0.0 vs 0.0 style edits.
-  mix(h, std::bit_cast<std::uint64_t>(v));
-}
+void mix(std::uint64_t& h, std::uint64_t word) { h = util::fnv1a_word(word, h); }
 
 void mix_gaussian(std::uint64_t& h, const stats::Gaussian& g) {
-  mix_double(h, g.mean);
-  mix_double(h, g.var);
+  h = util::fnv1a_double(g.mean, h);
+  h = util::fnv1a_double(g.var, h);
 }
 
 }  // namespace
@@ -142,13 +127,13 @@ std::uint64_t CompiledDesign::content_hash() const {
   // sections from aliasing.
   const netlist::Netlist& design = *design_;
   const std::size_t n = node_count();
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kContentHashSeed;
   mix(h, n);
   for (NodeId id = 0; id < n; ++id) {
     const netlist::Node& node = design.node(id);
     mix(h, static_cast<std::uint64_t>(node.type));
     mix(h, node.name.size());
-    mix_bytes(h, node.name);
+    h = util::fnv1a(node.name, h);
     mix(h, node.fanins.size());
     for (NodeId f : node.fanins) mix(h, f);
   }

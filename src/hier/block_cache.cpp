@@ -2,6 +2,7 @@
 
 #include "netlist/bench_io.hpp"
 #include "obs/metrics.hpp"
+#include "util/fnv1a.hpp"
 
 namespace spsta::hier {
 
@@ -88,7 +89,7 @@ std::shared_ptr<const CompiledBlock> BlockLibrary::intern(const netlist::Netlist
   // Content key: the canonical serialized form, independent of how the
   // netlist object was built (parser, generator, flatten).
   const std::string text = netlist::write_bench(block);
-  const std::uint64_t key = hash_bytes(text.data(), text.size());
+  const std::uint64_t key = util::fnv1a(text);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = blocks_.find(key);

@@ -1,55 +1,29 @@
 #include "hier/block_model.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
+#include "util/fnv1a.hpp"
+
 namespace spsta::hier {
-
-std::uint64_t hash_bytes(const void* data, std::size_t size, std::uint64_t seed) noexcept {
-  std::uint64_t h = seed;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-namespace {
-
-std::uint64_t hash_u64(std::uint64_t h, std::uint64_t v) noexcept {
-  return hash_bytes(&v, sizeof v, h);
-}
-
-std::uint64_t hash_double(std::uint64_t h, double v) noexcept {
-  // Bit pattern, not value: the signature must distinguish -0.0/0.0 the
-  // same way the engines' arithmetic would not — exactness over cleverness.
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  return hash_u64(h, bits);
-}
-
-}  // namespace
 
 std::uint64_t model_signature(std::uint64_t block_hash, Engine engine,
                               const core::SpstaOptions& options,
                               std::span<const netlist::SourceStats> normalized_sources) noexcept {
-  std::uint64_t h = hash_u64(0xcbf29ce484222325ull, block_hash);
-  h = hash_u64(h, static_cast<std::uint64_t>(engine));
+  std::uint64_t h = util::fnv1a_word(block_hash, util::kFnvOffset);
+  h = util::fnv1a_word(static_cast<std::uint64_t>(engine), h);
+  // Bit patterns, not values: a cache hit must be bit-identical to
+  // re-extraction, so -0.0 and 0.0 are different keys.
   if (engine == Engine::SpstaNumeric) {
-    h = hash_double(h, options.grid_dt);
-    h = hash_double(h, options.grid_pad_sigma);
-    h = hash_u64(h, options.max_grid_points);
+    h = util::fnv1a_double(options.grid_dt, h);
+    h = util::fnv1a_double(options.grid_pad_sigma, h);
+    h = util::fnv1a_word(options.max_grid_points, h);
   }
   for (const netlist::SourceStats& s : normalized_sources) {
-    h = hash_double(h, s.probs.p0);
-    h = hash_double(h, s.probs.p1);
-    h = hash_double(h, s.probs.pr);
-    h = hash_double(h, s.probs.pf);
-    h = hash_double(h, s.rise_arrival.mean);
-    h = hash_double(h, s.rise_arrival.var);
-    h = hash_double(h, s.fall_arrival.mean);
-    h = hash_double(h, s.fall_arrival.var);
+    for (const double v : {s.probs.p0, s.probs.p1, s.probs.pr, s.probs.pf,
+                           s.rise_arrival.mean, s.rise_arrival.var, s.fall_arrival.mean,
+                           s.fall_arrival.var}) {
+      h = util::fnv1a_double(v, h);
+    }
   }
   return h;
 }

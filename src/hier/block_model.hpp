@@ -78,11 +78,6 @@ struct BlockTimingModel {
   }
 };
 
-/// FNV-1a over arbitrary bytes; hier's content/signature hash primitive
-/// (same constants as the service's fnv1a64 — stable across platforms).
-[[nodiscard]] std::uint64_t hash_bytes(const void* data, std::size_t size,
-                                       std::uint64_t seed = 0xcbf29ce484222325ull) noexcept;
-
 /// The exact-match model cache key: block content hash, engine, the
 /// engine's grid options (numeric only), and the bit patterns of every
 /// normalized source statistic. Bitwise matching keeps a cache hit

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <limits>
+#include <stdexcept>
 
 #include "core/compiled_design.hpp"
 #include "obs/metrics.hpp"
@@ -71,8 +72,8 @@ struct ChunkAccum {
 
 /// Runs per block: one bit of a machine word per run.
 constexpr std::size_t kLanes = 64;
-/// Gates wider than this are evaluated lane by lane with eval_gate_timed.
-constexpr std::size_t kMaxWordFanin = 16;
+/// Widest gate the engine accepts.
+constexpr std::size_t kMaxFanin = 64;
 constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -99,9 +100,9 @@ void for_each_lane(std::uint64_t mask, F&& f) {
 ///    meaningful only on transitioning lanes. So do the sampled gate
 ///    delays, and only when some delay varies.
 /// Every run still draws from its own (seed, run) stream in the order a
-/// run-at-a-time simulation would, and every gate lane computes the double
-/// eval_gate_timed would return, so the results are bitwise those of
-/// simulating one run at a time.
+/// run-at-a-time simulation would, and every gate lane computes the value,
+/// arrival and edge count the run-at-a-time event sweep would, so the
+/// results are bitwise those of simulating one run at a time.
 class BlockSim {
  public:
   BlockSim(const core::CompiledDesign& plan,
@@ -119,11 +120,6 @@ class BlockSim {
       rise_delay_.resize(kLanes * plan.node_count());
       fall_delay_.resize(kLanes * plan.node_count());
     }
-    std::size_t max_fanin = 0;
-    for (NodeId id = 0; id < plan.node_count(); ++id) {
-      max_fanin = std::max(max_fanin, plan.fanins(id).size());
-    }
-    inputs_.resize(max_fanin);
   }
 
   /// Simulates runs [first, first + lanes); adds their raw edges to \p acc.
@@ -184,9 +180,7 @@ class BlockSim {
     }
   }
 
-  [[nodiscard]] std::uint64_t glitching_gates() const { return glitches_.glitching_gates; }
-  /// Gate lanes handed to eval_gate_timed so far.
-  [[nodiscard]] std::uint64_t sweep_lanes() const { return sweep_lanes_; }
+  [[nodiscard]] std::uint64_t glitching_gates() const { return glitching_gates_; }
 
  private:
   [[nodiscard]] std::uint64_t moves(NodeId id) const {
@@ -252,131 +246,119 @@ class BlockSim {
   }
 
   /// Evaluates gate \p id on every lane: its two planes, its arrival on
-  /// transitioning lanes, and its raw edges and glitches. Lanes the word
-  /// rules below do not cover go through eval_gate_timed, the one
-  /// definition of the sweep.
+  /// transitioning lanes, and its raw edges and glitches.
   void eval_gate(NodeId id, ChunkAccum& acc) {
     const GateType type = plan_.type(id);
     const std::span<const NodeId> fanins = plan_.fanins(id);
     std::uint64_t init = 0;
     std::uint64_t fin = 0;
-    std::uint64_t sweep = 0;
     std::uint64_t raw = 0;
     const auto invert = [](bool on) { return on ? kAllLanes : 0; };
 
-    if (fanins.size() > kMaxWordFanin) {
-      sweep = valid_;
-    } else {
-      switch (type) {
-        case GateType::Const1:
-          init = fin = kAllLanes;
-          break;
-        case GateType::Buf:
-        case GateType::Not:
-        case GateType::And:
-        case GateType::Nand:
-        case GateType::Or:
-        case GateType::Nor: {
-          // Fold in the AND domain: OR-family inputs are complemented (De
-          // Morgan), so the controlling value reads 0 and moving toward it
-          // reads as a fall. BUF/NOT are one-input AND/NAND.
-          const std::uint64_t flip =
-              invert(type == GateType::Or || type == GateType::Nor);
-          std::uint64_t all_i = kAllLanes;
-          std::uint64_t all_f = kAllLanes;
-          std::uint64_t no_ctrl = kAllLanes;
-          std::uint64_t rising = 0;
-          std::uint64_t falling = 0;
-          for (NodeId f : fanins) {
-            const std::uint64_t i = plane_[2 * f] ^ flip;
-            const std::uint64_t v = plane_[2 * f + 1] ^ flip;
-            all_i &= i;
-            all_f &= v;
-            no_ctrl &= i | v;
-            rising |= ~i & v;
-            falling |= i & ~v;
-          }
-          // With no static controlling input, lanes whose inputs all move
-          // one way move the output exactly once (Table 1): at the first
-          // input toward the controlling value, at the last one away from
-          // it. Lanes moving both ways may pulse; the sweep decides them.
-          const std::uint64_t m = (all_i ^ all_f) & valid_;
-          sweep = no_ctrl & rising & falling & valid_;
-          for_each_lane(m, [&](std::size_t l) {
-            best_[l] = ((rising >> l) & 1) != 0 ? -kInf : kInf;
+    switch (type) {
+      case GateType::Const1:
+        init = fin = kAllLanes;
+        break;
+      case GateType::Buf:
+      case GateType::Not:
+      case GateType::And:
+      case GateType::Nand:
+      case GateType::Or:
+      case GateType::Nor: {
+        // Fold in the AND domain: OR-family inputs are complemented (De
+        // Morgan), so the controlling value reads 0 and moving toward it
+        // reads as a fall. BUF/NOT are one-input AND/NAND.
+        const std::uint64_t flip = invert(type == GateType::Or || type == GateType::Nor);
+        std::uint64_t all_i = kAllLanes;
+        std::uint64_t all_f = kAllLanes;
+        std::uint64_t no_ctrl = kAllLanes;
+        std::uint64_t rising = 0;
+        std::uint64_t falling = 0;
+        for (NodeId f : fanins) {
+          const std::uint64_t i = plane_[2 * f] ^ flip;
+          const std::uint64_t v = plane_[2 * f + 1] ^ flip;
+          all_i &= i;
+          all_f &= v;
+          no_ctrl &= i | v;
+          rising |= ~i & v;
+          falling |= i & ~v;
+        }
+        // With no static controlling input, lanes whose inputs all move
+        // one way move the output exactly once (Table 1): at the first
+        // input toward the controlling value, at the last one away from
+        // it. Lanes moving both ways start and end at the controlling
+        // value; they pulse iff the last rise precedes the first fall in
+        // (time, input position) order.
+        const std::uint64_t m = (all_i ^ all_f) & valid_;
+        const std::uint64_t mixed = no_ctrl & rising & falling & valid_;
+        for_each_lane(m | mixed, [&](std::size_t l) {
+          best_[l] = ((rising >> l) & 1) != 0 ? -kInf : kInf;
+        });
+        for_each_lane(mixed, [&](std::size_t l) { first_fall_[l] = kInf; });
+        // Mixed lanes where some fall comes before some rise in that order.
+        std::uint64_t no_pulse = 0;
+        for (NodeId f : fanins) {
+          const std::uint64_t i = plane_[2 * f] ^ flip;
+          const std::uint64_t v = plane_[2 * f + 1] ^ flip;
+          const double* t = &time_[f * kLanes];
+          // MAX; on equal times the later input is the later event.
+          for_each_lane(~i & v & m, [&](std::size_t l) {
+            if (!(t[l] < best_[l])) best_[l] = t[l];
           });
-          for (NodeId f : fanins) {
-            const std::uint64_t i = plane_[2 * f] ^ flip;
-            const std::uint64_t v = plane_[2 * f + 1] ^ flip;
-            const double* t = &time_[f * kLanes];
-            // MAX; on equal times the later input is the later event.
-            for_each_lane(~i & v & m, [&](std::size_t l) {
-              if (!(t[l] < best_[l])) best_[l] = t[l];
-            });
-            // MIN; on equal times the earlier input is the earlier event.
-            for_each_lane(i & ~v & m, [&](std::size_t l) {
-              if (t[l] < best_[l]) best_[l] = t[l];
-            });
-          }
-          raw = lanes_in(m);
-          const std::uint64_t out_flip = flip ^ invert(netlist::is_inverting(type));
-          init = all_i ^ out_flip;
-          fin = all_f ^ out_flip;
-          break;
+          // MIN; on equal times the earlier input is the earlier event.
+          for_each_lane(i & ~v & m, [&](std::size_t l) {
+            if (t[l] < best_[l]) best_[l] = t[l];
+          });
+          // A rise at or after an earlier input's fall, or a fall before
+          // an earlier input's rise, leaves the output at the controlling
+          // value throughout.
+          for_each_lane(~i & v & mixed, [&](std::size_t l) {
+            if (!(t[l] < first_fall_[l])) no_pulse |= std::uint64_t{1} << l;
+            if (!(t[l] < best_[l])) best_[l] = t[l];
+          });
+          for_each_lane(i & ~v & mixed, [&](std::size_t l) {
+            if (t[l] < best_[l]) no_pulse |= std::uint64_t{1} << l;
+            if (t[l] < first_fall_[l]) first_fall_[l] = t[l];
+          });
         }
-        case GateType::Xor:
-        case GateType::Xnor: {
-          // Every input event flips the output. It settles at the last
-          // switching input when an odd number switch, and it glitches
-          // whenever two or more do (bit-sliced count: once, twice).
-          std::uint64_t once = 0;
-          std::uint64_t twice = 0;
-          for (NodeId f : fanins) {
-            const std::uint64_t sw = moves(f);
-            twice |= once & sw;
-            once |= sw;
-            raw += lanes_in(sw);
-            init ^= plane_[2 * f];
-            fin ^= plane_[2 * f + 1];
-          }
-          const std::uint64_t m = (init ^ fin) & valid_;
-          glitches_.glitching_gates += lanes_in(twice);
-          for_each_lane(m, [&](std::size_t l) { best_[l] = -kInf; });
-          for (NodeId f : fanins) {
-            const double* t = &time_[f * kLanes];
-            for_each_lane(moves(f) & m, [&](std::size_t l) {
-              if (!(t[l] < best_[l])) best_[l] = t[l];
-            });
-          }
-          init ^= invert(type == GateType::Xnor);
-          fin ^= invert(type == GateType::Xnor);
-          break;
-        }
-        default:  // Const0
-          break;
+        const std::uint64_t pulses = lanes_in(mixed & ~no_pulse);
+        raw = lanes_in(m) + 2 * pulses;
+        glitching_gates_ += pulses;
+        const std::uint64_t out_flip = flip ^ invert(netlist::is_inverting(type));
+        init = all_i ^ out_flip;
+        fin = all_f ^ out_flip;
+        break;
       }
-    }
-
-    if (sweep != 0) {
-      sweep_lanes_ += lanes_in(sweep);
-      for_each_lane(sweep, [&](std::size_t l) {
-        for (std::size_t k = 0; k < fanins.size(); ++k) {
-          const NodeId f = fanins[k];
-          const bool i = ((plane_[2 * f] >> l) & 1) != 0;
-          const bool v = ((plane_[2 * f + 1] >> l) & 1) != 0;
-          inputs_[k] = {netlist::from_initial_final(i, v),
-                        i != v ? time_[f * kLanes + l] : 0.0};
+      case GateType::Xor:
+      case GateType::Xnor: {
+        // Every input event flips the output. It settles at the last
+        // switching input when an odd number switch, and it glitches
+        // whenever two or more do (bit-sliced count: once, twice).
+        std::uint64_t once = 0;
+        std::uint64_t twice = 0;
+        for (NodeId f : fanins) {
+          const std::uint64_t sw = moves(f);
+          twice |= once & sw;
+          once |= sw;
+          raw += lanes_in(sw);
+          init ^= plane_[2 * f];
+          fin ^= plane_[2 * f + 1];
         }
-        std::size_t changes = 0;
-        const SimValue out = eval_gate_timed(
-            type, std::span<const SimValue>(inputs_.data(), fanins.size()), &glitches_,
-            &changes);
-        raw += changes;
-        const std::uint64_t bit = std::uint64_t{1} << l;
-        init = netlist::initial_value(out.value) ? init | bit : init & ~bit;
-        fin = netlist::final_value(out.value) ? fin | bit : fin & ~bit;
-        best_[l] = out.time;
-      });
+        const std::uint64_t m = (init ^ fin) & valid_;
+        glitching_gates_ += lanes_in(twice);
+        for_each_lane(m, [&](std::size_t l) { best_[l] = -kInf; });
+        for (NodeId f : fanins) {
+          const double* t = &time_[f * kLanes];
+          for_each_lane(moves(f) & m, [&](std::size_t l) {
+            if (!(t[l] < best_[l])) best_[l] = t[l];
+          });
+        }
+        init ^= invert(type == GateType::Xnor);
+        fin ^= invert(type == GateType::Xnor);
+        break;
+      }
+      default:  // Const0
+        break;
     }
 
     plane_[2 * id] = init;
@@ -403,12 +385,14 @@ class BlockSim {
   std::vector<double> time_;
   std::vector<double> rise_delay_;
   std::vector<double> fall_delay_;
-  std::vector<SimValue> inputs_;  ///< one lane's fanin values for the sweep
   /// The gate being evaluated: its settled transition time before the gate
-  /// delay, on lanes where it transitions.
+  /// delay, on lanes where it transitions; on mixed-direction lanes, its
+  /// latest rise so far.
   std::array<double, kLanes> best_{};
-  SimRunStats glitches_;
-  std::uint64_t sweep_lanes_ = 0;
+  /// Its earliest fall so far, on mixed-direction lanes.
+  std::array<double, kLanes> first_fall_{};
+  /// Gates whose output pulsed (changed and returned), over all blocks.
+  std::uint64_t glitching_gates_ = 0;
 };
 
 }  // namespace
@@ -433,14 +417,16 @@ MonteCarloResult run_monte_carlo(const core::CompiledDesign& plan,
   std::vector<double> base_rise(node_count);
   std::vector<double> base_fall(node_count);
   bool delays_fixed = true;
-  std::uint64_t gate_count = 0;
   for (NodeId id = 0; id < node_count; ++id) {
     base_rise[id] = delays.delay(id, true).mean;
     base_fall[id] = delays.delay(id, false).mean;
     if (delays.delay(id, true).var > 0.0 || delays.delay(id, false).var > 0.0) {
       delays_fixed = false;
     }
-    if (plan.combinational(id)) ++gate_count;
+    // The run-at-a-time simulator, which defines the results, stops at 64.
+    if (plan.combinational(id) && plan.fanins(id).size() > kMaxFanin) {
+      throw std::invalid_argument("run_monte_carlo: fanin too large");
+    }
   }
 
   // Chunk layout: a function of `runs` alone (never of the thread count).
@@ -455,10 +441,6 @@ MonteCarloResult run_monte_carlo(const core::CompiledDesign& plan,
       config.runs == 0 ? 0
                        : static_cast<std::size_t>((config.runs + chunk_runs - 1) / chunk_runs);
   std::vector<ChunkAccum> chunks(num_chunks);
-
-  // Gate-lane evaluations, and how many of them fell back to the sweep.
-  static obs::Counter& gate_lanes = obs::registry().counter("mc.gate_lanes");
-  static obs::Counter& sweep_lanes = obs::registry().counter("mc.sweep_lanes");
 
   const auto run_chunk = [&](std::size_t c) {
     ChunkAccum& acc = chunks[c];
@@ -479,8 +461,6 @@ MonteCarloResult run_monte_carlo(const core::CompiledDesign& plan,
       sim.accumulate(config, acc);
     }
     acc.glitching_gates = sim.glitching_gates();
-    gate_lanes.add(gate_count * (last - first));
-    sweep_lanes.add(sim.sweep_lanes());
   };
 
   {

@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "mc/logic_sim.hpp"
 #include "netlist/delay_model.hpp"
 #include "netlist/four_value.hpp"
 #include "netlist/netlist.hpp"

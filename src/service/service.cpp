@@ -15,6 +15,7 @@
 #include "netlist/iscas89.hpp"
 #include "netlist/verilog_io.hpp"
 #include "obs/metrics.hpp"
+#include "util/fnv1a.hpp"
 
 namespace spsta::service {
 
@@ -243,7 +244,7 @@ void check_deadline(const Request& request) {
 
 std::uint64_t load_content_hash(std::string_view format,
                                 std::string_view content) noexcept {
-  return fnv1a64(content, fnv1a64(format) * 0x9e3779b97f4a7c15ull + 1);
+  return util::fnv1a(content, util::fnv1a(format) * 0x9e3779b97f4a7c15ull + 1);
 }
 
 Json metrics_json() {
@@ -552,7 +553,6 @@ std::pair<const CachedAnalysis*, bool> AnalysisService::ensure_analysis(
   const std::string key = params.cache_key(engine);
   ++session.analyses;
   if (const auto it = session.cache.find(key); it != session.cache.end()) {
-    ++it->second.hits;
     ++session.cache_hits;
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     return {&it->second, true};
@@ -613,10 +613,8 @@ Response AnalysisService::handle_analyze(const Request& request) {
       cache_misses_.fetch_add(1, std::memory_order_relaxed);
       hier::HierReport report = session.hier_analyzer->run(hier_request);
       record_engine_run(engine, report.elapsed_seconds);
-      it = session.hier_cache.emplace(key, CachedHierAnalysis{std::move(report), 0})
-               .first;
+      it = session.hier_cache.emplace(key, CachedHierAnalysis{std::move(report)}).first;
     } else {
-      ++it->second.hits;
       ++session.cache_hits;
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -933,9 +931,10 @@ Response AnalysisService::handle_set_source(const Request& request) {
       }
       p[i] = v.as_number();
     }
-    if (p[0] + p[1] + p[2] + p[3] <= 0) {
-      fail(ErrorCode::BadParams, "'probs' must not be all zero");
-    }
+    const double sum = p[0] + p[1] + p[2] + p[3];
+    if (sum <= 0) fail(ErrorCode::BadParams, "'probs' must not be all zero");
+    // An overflowing sum would normalize to all zeros, not to the ratios.
+    if (!std::isfinite(sum)) fail(ErrorCode::BadParams, "'probs' sum must be finite");
     stats.probs = netlist::FourValueProbs{p[0], p[1], p[2], p[3]}.normalized();
   }
   const auto arrival = [&](std::string_view key,
@@ -954,7 +953,9 @@ Response AnalysisService::handle_set_source(const Request& request) {
   stats.rise_arrival = arrival("rise", stats.rise_arrival);
   stats.fall_arrival = arrival("fall", stats.fall_arrival);
 
-  const core::IncrementalSpsta::CommitStats wave = session.apply_set_source(index, stats);
+  const core::IncrementalSpsta::EcoEdit edit =
+      core::IncrementalSpsta::EcoEdit::source_edit(index, stats);
+  const core::IncrementalSpsta::CommitStats wave = session.apply_eco({&edit, 1});
 
   Json result = Json::object();
   result.set("source", Json(index));

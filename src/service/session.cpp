@@ -8,15 +8,6 @@
 
 namespace spsta::service {
 
-std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t seed) noexcept {
-  std::uint64_t h = seed;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::string hash_key(std::uint64_t h) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
@@ -104,20 +95,6 @@ core::IncrementalSpsta::ProbeResult Session::probe_eco(
     std::span<const core::IncrementalSpsta::EcoEdit> edits,
     std::span<const netlist::NodeId> targets) {
   return warm_incremental().probe(edits, targets);
-}
-
-core::IncrementalSpsta::CommitStats Session::apply_set_delay(
-    netlist::NodeId id, const stats::Gaussian& delay) {
-  const core::IncrementalSpsta::EcoEdit edit =
-      core::IncrementalSpsta::EcoEdit::delay_edit(id, delay);
-  return apply_eco({&edit, 1});
-}
-
-core::IncrementalSpsta::CommitStats Session::apply_set_source(
-    std::size_t source_index, const netlist::SourceStats& stats) {
-  const core::IncrementalSpsta::EcoEdit edit =
-      core::IncrementalSpsta::EcoEdit::source_edit(source_index, stats);
-  return apply_eco({&edit, 1});
 }
 
 std::pair<std::shared_ptr<Session>, bool> SessionStore::load(

@@ -42,11 +42,6 @@
 
 namespace spsta::service {
 
-/// FNV-1a 64-bit over arbitrary bytes — the content hash behind session
-/// keys and cache keys. Stable across platforms and runs.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes,
-                                    std::uint64_t seed = 0xcbf29ce484222325ull) noexcept;
-
 /// 16-hex-digit rendering of a 64-bit hash (session key format).
 [[nodiscard]] std::string hash_key(std::uint64_t h);
 
@@ -60,13 +55,11 @@ namespace spsta::service {
 struct CachedAnalysis {
   AnalysisResult result;
   double elapsed_seconds = 0.0;  ///< wall clock of the producing run
-  std::uint64_t hits = 0;        ///< times served from cache
 };
 
 /// One cached hierarchical analysis (composed block models).
 struct CachedHierAnalysis {
   hier::HierReport report;
-  std::uint64_t hits = 0;
 };
 
 /// A loaded design and everything the service keeps warm for it.
@@ -162,12 +155,6 @@ struct Session {
   core::IncrementalSpsta::ProbeResult probe_eco(
       std::span<const core::IncrementalSpsta::EcoEdit> edits,
       std::span<const netlist::NodeId> targets);
-
-  /// Single-edit conveniences forwarding to apply_eco.
-  core::IncrementalSpsta::CommitStats apply_set_delay(netlist::NodeId id,
-                                                      const stats::Gaussian& delay);
-  core::IncrementalSpsta::CommitStats apply_set_source(
-      std::size_t source_index, const netlist::SourceStats& stats);
 };
 
 /// Entry/byte budget of the store's LRU eviction. 0 = unlimited. The byte

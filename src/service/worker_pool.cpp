@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "util/fnv1a.hpp"
 
 namespace spsta::service {
 
@@ -74,7 +75,7 @@ unsigned WorkerPool::route_shard(const Request& request) const {
     if (const auto h = parse_hash_key(key->as_string())) {
       return static_cast<unsigned>(*h % n);
     }
-    return static_cast<unsigned>(fnv1a64(key->as_string()) % n);
+    return static_cast<unsigned>(util::fnv1a(key->as_string()) % n);
   }
   if (request.cmd == "load") {
     // Route a load on the content hash of what it loads, reproducing
@@ -96,8 +97,8 @@ unsigned WorkerPool::route_shard(const Request& request) const {
     // yet, so identical paths share a shard and the parse/compile is still
     // deduplicated by the session store's latch. KNOWN MISS: the session a
     // path load creates is keyed on the *content* hash, so every later
-    // request on that session routes on fnv1a64(content) — generally a
-    // DIFFERENT shard than fnv1a64(path). A path-loaded design therefore
+    // request on that session routes on fnv1a(content) — generally a
+    // DIFFERENT shard than fnv1a(path). A path-loaded design therefore
     // splits its load traffic and its analyze traffic across two shards
     // (the compiled plan itself is shared either way — the store is
     // process-wide; only the per-design FIFO/affinity property is lost).
@@ -105,7 +106,7 @@ unsigned WorkerPool::route_shard(const Request& request) const {
     // should load by text or circuit name.
     const Json* path = request.body.find("path");
     if (path != nullptr && path->is_string()) {
-      return static_cast<unsigned>(fnv1a64(path->as_string()) % n);
+      return static_cast<unsigned>(util::fnv1a(path->as_string()) % n);
     }
   }
   // No routing key (ping, stats, shutdown, malformed loads): spread.

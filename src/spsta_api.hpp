@@ -75,13 +75,11 @@ enum class Engine { SpstaMoment, SpstaNumeric, Canonical, Ssta, Mc };
 /// columns, and the inner loops dispatch to a runtime-selected SIMD
 /// tier that is bit-identical to the scalar reference. Two process-wide
 /// knobs (not per-request fields) tune the layer:
-///   * direct->FFT crossover — `stats::set_conv_crossover()` or the
-///     `SPSTA_CONV_CROSSOVER` environment variable (malformed values
-///     are rejected with a one-time warning and fall back to the
-///     calibrated default). Process-wide because it must stay constant
-///     while runs are in flight to keep the kernel choice a pure
-///     function of sizes; changing it between runs changes rounding
-///     (not accuracy) of subsequent results.
+///   * direct->FFT crossover — `stats::set_conv_crossover()`.
+///     Process-wide because it must stay constant while runs are in
+///     flight to keep the kernel choice a pure function of sizes;
+///     changing it between runs changes rounding (not accuracy) of
+///     subsequent results.
 ///   * SIMD tier — `SPSTA_FORCE_SCALAR=1` or
 ///     `stats::simd::set_force_scalar()` pins the scalar reference.
 ///     Tier choice never changes a result bit (the contract in

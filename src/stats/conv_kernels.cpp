@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -33,28 +29,8 @@ namespace {
 constexpr std::size_t kDefaultCrossover = 512;
 
 std::atomic<std::size_t>& crossover_override() noexcept {
-  static std::atomic<std::size_t> v{0};  // 0 = use env/default
+  static std::atomic<std::size_t> v{0};  // 0 = use the default
   return v;
-}
-
-std::size_t env_crossover() noexcept {
-  // Read once: the knob must be stable for a process lifetime so the
-  // kernel choice stays a pure function of sizes. A malformed value is
-  // rejected loudly (once) instead of silently shadow-defaulting.
-  static const std::size_t value = [] {
-    const char* s = std::getenv("SPSTA_CONV_CROSSOVER");
-    if (s == nullptr || *s == '\0') return kDefaultCrossover;
-    if (const std::optional<std::size_t> parsed = parse_conv_crossover(s)) {
-      return *parsed;
-    }
-    std::fprintf(stderr,
-                 "spsta: invalid SPSTA_CONV_CROSSOVER=\"%s\" "
-                 "(want a positive integer); using default %zu\n",
-                 s, kDefaultCrossover);
-    obs::registry().counter("stats.conv.crossover_invalid").add();
-    return kDefaultCrossover;
-  }();
-  return value;
 }
 
 obs::Counter& fft_counter() {
@@ -351,19 +327,11 @@ double apply_delay_column(std::span<const double> in, const DelayKernel& k,
 
 std::size_t conv_crossover() noexcept {
   const std::size_t v = crossover_override().load(std::memory_order_relaxed);
-  return v != 0 ? v : env_crossover();
+  return v != 0 ? v : kDefaultCrossover;
 }
 
 void set_conv_crossover(std::size_t points) noexcept {
   crossover_override().store(points, std::memory_order_relaxed);
-}
-
-std::optional<std::size_t> parse_conv_crossover(const char* text) noexcept {
-  if (text == nullptr || *text == '\0') return std::nullopt;
-  std::size_t parsed = 0;
-  const auto [ptr, ec] = std::from_chars(text, text + std::strlen(text), parsed);
-  if (ec != std::errc{} || *ptr != '\0' || parsed == 0) return std::nullopt;
-  return parsed;
 }
 
 ConvKernelChoice select_conv_kernel(std::size_t na, std::size_t nb) noexcept {

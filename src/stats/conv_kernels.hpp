@@ -31,7 +31,6 @@
 
 #include <array>
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -48,25 +47,13 @@ enum class ConvKernelChoice { Direct, Fft };
 /// output length (na + nb - 1) is at least this AND the smaller operand
 /// has at least `kMinFftOperand` points (a short FIR against a long signal
 /// is linear-time already and stays direct). The default is calibrated by
-/// bench/conv_kernels_bench; the environment variable
-/// `SPSTA_CONV_CROSSOVER` (read once, first use; invalid values are
-/// rejected with a one-time warning and fall back to the default) or
-/// `set_conv_crossover()` overrides it.
+/// bench/conv_kernels_bench; `set_conv_crossover()` overrides it.
 [[nodiscard]] std::size_t conv_crossover() noexcept;
 
 /// Overrides the crossover at runtime (0 restores the built-in default).
 /// Takes effect for subsequent convolutions; intended for benchmarks and
 /// tests — not thread-safe against in-flight convolutions.
 void set_conv_crossover(std::size_t points) noexcept;
-
-/// Parses an `SPSTA_CONV_CROSSOVER` override. Returns the crossover for a
-/// well-formed positive integer that fits std::size_t; std::nullopt for
-/// anything else (empty, non-numeric, trailing junk, zero, negative,
-/// overflow). The env reader warns once (stderr +
-/// `stats.conv.crossover_invalid` obs counter) and uses the calibrated
-/// default when this rejects. Exposed for tests.
-[[nodiscard]] std::optional<std::size_t> parse_conv_crossover(
-    const char* text) noexcept;
 
 /// Operands smaller than this never take the FFT path.
 inline constexpr std::size_t kMinFftOperand = 16;

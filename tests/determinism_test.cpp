@@ -516,7 +516,9 @@ TEST(Determinism, EveryEngineAfterSessionEcoMatchesAFreshAnalyzer) {
     }
     ASSERT_NE(quiet, netlist::kInvalidNode);
     final_delays.set_delay(quiet, {1.0, 0.001});
-    (void)session.apply_set_delay(quiet, {1.0, 0.001});
+    const core::IncrementalSpsta::EcoEdit edit =
+        core::IncrementalSpsta::EcoEdit::delay_edit(quiet, {1.0, 0.001});
+    (void)session.apply_eco({&edit, 1});
 
     Analyzer fresh(n, final_delays, final_sources);
     ASSERT_EQ(session.analyzer->content_hash(), fresh.content_hash());

@@ -13,9 +13,9 @@
 #include <gtest/gtest.h>
 
 #include "core/compiled_design.hpp"
+#include "mc/logic_sim.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas89.hpp"
-#include "obs/metrics.hpp"
 #include "sigprob/four_value_prop.hpp"
 #include "stats/rng.hpp"
 
@@ -374,7 +374,7 @@ netlist::SourceStats tied_launch() {
 
 /// A generated circuit with every gate family plus the corner cases of the
 /// block engine: constants, one-input AND/OR/XOR, repeated fanins, and
-/// gates wider than the word path (17- and 20-input).
+/// wide gates (17- and 20-input).
 Netlist every_gate_circuit(std::uint64_t seed) {
   netlist::GeneratorSpec spec;
   spec.name = "every_gate";
@@ -502,33 +502,98 @@ TEST(MonteCarloBlockEngine, PerSourceStatisticsMatchReference) {
                                   cfg, "per-source statistics");
 }
 
-TEST(MonteCarloBlockEngine, LaneCountersRepeatAcrossThreadCounts) {
-  const Netlist n = netlist::make_s27();
-  const core::CompiledDesign plan(n, netlist::DelayModel::unit(n));
-  std::uint64_t gates = 0;
-  for (NodeId id = 0; id < n.node_count(); ++id) gates += plan.combinational(id) ? 1 : 0;
-  obs::Counter& gate_lanes = obs::registry().counter("mc.gate_lanes");
-  obs::Counter& sweep_lanes = obs::registry().counter("mc.sweep_lanes");
-  const auto counts = [&](unsigned threads) {
-    MonteCarloConfig cfg;
-    cfg.runs = 3000;
-    cfg.seed = 12;
-    cfg.threads = threads;
-    const std::uint64_t g0 = gate_lanes.value();
-    const std::uint64_t s0 = sweep_lanes.value();
-    (void)run_monte_carlo(plan, std::vector{netlist::scenario_I()}, cfg);
-    return std::pair{gate_lanes.value() - g0, sweep_lanes.value() - s0};
+/// A source that always takes \p v, launching its transition at t = 0.
+netlist::SourceStats fixed_source(netlist::FourValue v) {
+  netlist::SourceStats st = tied_launch();
+  st.probs = {v == netlist::FourValue::Zero ? 1.0 : 0.0,
+              v == netlist::FourValue::One ? 1.0 : 0.0,
+              v == netlist::FourValue::Rise ? 1.0 : 0.0,
+              v == netlist::FourValue::Fall ? 1.0 : 0.0};
+  return st;
+}
+
+TEST(MonteCarloBlockEngine, TiedMixedDirectionLanesPulseInInputOrder) {
+  using netlist::FourValue;
+  // Every run: `up` and `down` move away from and toward each gate's
+  // controlling value at the same instant; `idle` holds the
+  // non-controlling value. The gate pulses iff the input moving away
+  // comes first in fanin order, at fanin 2 and at fanin 17.
+  struct Family {
+    GateType type;
+    FourValue away, toward, idle, settled;
   };
-  const bool was_enabled = obs::enabled();
-  obs::set_enabled(true);
-  const auto one = counts(1);
-  const auto eight = counts(8);
-  obs::set_enabled(was_enabled);
-  if (!obs::kCompiledIn) GTEST_SKIP() << "metrics compiled out";
-  EXPECT_EQ(one, eight);
-  EXPECT_EQ(one.first, gates * 3000);
-  EXPECT_GT(one.second, 0u);
-  EXPECT_LT(one.second, one.first);
+  const std::array<Family, 4> families{{
+      {GateType::And, FourValue::Rise, FourValue::Fall, FourValue::One, FourValue::Zero},
+      {GateType::Nand, FourValue::Rise, FourValue::Fall, FourValue::One, FourValue::One},
+      {GateType::Or, FourValue::Fall, FourValue::Rise, FourValue::Zero, FourValue::One},
+      {GateType::Nor, FourValue::Fall, FourValue::Rise, FourValue::Zero, FourValue::Zero},
+  }};
+  for (const Family& fam : families) {
+    Netlist n("tied_mixed");
+    const NodeId up = n.add_input("up");
+    const NodeId down = n.add_input("down");
+    const NodeId idle = n.add_input("idle");
+    const std::vector<netlist::SourceStats> sources{
+        fixed_source(fam.away), fixed_source(fam.toward), fixed_source(fam.idle)};
+    const std::vector<NodeId> pad(15, idle);
+    std::vector<NodeId> wide_up_first{up};
+    wide_up_first.insert(wide_up_first.end(), pad.begin(), pad.end());
+    wide_up_first.push_back(down);
+    std::vector<NodeId> wide_down_first(pad.begin(), pad.begin() + 7);
+    wide_down_first.push_back(down);
+    wide_down_first.insert(wide_down_first.end(), pad.begin() + 7, pad.end());
+    wide_down_first.push_back(up);
+    const std::array<std::pair<NodeId, bool>, 4> gates{{
+        {n.add_gate(fam.type, "g_up_down", {up, down}), true},
+        {n.add_gate(fam.type, "g_down_up", {down, up}), false},
+        {n.add_gate(fam.type, "g_wide_up_first", wide_up_first), true},
+        {n.add_gate(fam.type, "g_wide_down_first", wide_down_first), false},
+    }};
+    for (const auto& [g, pulses] : gates) n.mark_output(g);
+
+    MonteCarloConfig cfg;
+    cfg.runs = 130;
+    cfg.seed = 2;
+    cfg.track_circuit_max = true;
+    const std::string what(netlist::to_string(fam.type));
+    expect_engine_matches_reference(n, netlist::DelayModel::unit(n), sources, cfg, what);
+    const MonteCarloResult r =
+        run_monte_carlo(n, netlist::DelayModel::unit(n), sources, cfg);
+    for (const auto& [g, pulses] : gates) {
+      SCOPED_TRACE(what + " " + n.node(g).name);
+      EXPECT_EQ(r.node[g].count[static_cast<int>(fam.settled)], cfg.runs);
+      EXPECT_EQ(r.node[g].raw_edges, pulses ? 2 * cfg.runs : 0u);
+    }
+    EXPECT_EQ(r.glitching_gates, 2 * cfg.runs);
+  }
+}
+
+TEST(MonteCarloBlockEngine, SixtyFourInputsMatchReferenceAndWiderThrows) {
+  const Netlist base = every_gate_circuit(5);
+  const std::size_t count = base.node_count();
+  const auto widest = [&](std::size_t fanin) {
+    Netlist n = base;
+    std::vector<NodeId> ins;
+    for (std::size_t k = 0; k < fanin; ++k) {
+      ins.push_back(static_cast<NodeId>((k * 13 + 5) % count));
+    }
+    n.mark_output(n.add_gate(GateType::Nand, "x_nand_wide", ins));
+    n.mark_output(n.add_gate(GateType::Xor, "x_xor_wide", ins));
+    return n;
+  };
+  MonteCarloConfig cfg;
+  cfg.runs = 200;
+  cfg.seed = 9;
+  const Netlist ok = widest(64);
+  expect_engine_matches_reference(ok, netlist::DelayModel::unit(ok),
+                                  {netlist::scenario_I()}, cfg, "fanin 64");
+  const Netlist wide = widest(65);
+  EXPECT_THROW((void)run_monte_carlo(wide, netlist::DelayModel::unit(wide),
+                                     std::vector{netlist::scenario_I()}, cfg),
+               std::invalid_argument);
+  EXPECT_THROW((void)reference_monte_carlo(wide, netlist::DelayModel::unit(wide),
+                                           std::vector{netlist::scenario_I()}, cfg),
+               std::invalid_argument);
 }
 
 TEST(MonteCarlo, SourceStatsMismatchThrows) {

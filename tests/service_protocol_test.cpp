@@ -194,6 +194,8 @@ TEST(ServiceProtocol, LoadingIdenticalContentReusesTheSession) {
   const Json first = expect_ok(service, load_line("s27"));
   const Json again = expect_ok(service, load_line("s27"));
   EXPECT_EQ(first.find("session")->as_string(), again.find("session")->as_string());
+  // The key is a content hash: it must not move across builds or hosts.
+  EXPECT_EQ(first.find("session")->as_string(), "75c5730b20a2db65");
   EXPECT_FALSE(first.find("reloaded")->as_bool());
   EXPECT_TRUE(again.find("reloaded")->as_bool());
   EXPECT_EQ(service.store().size(), 1u);
@@ -437,6 +439,32 @@ TEST(ServiceProtocol, SetSourceBoundsTheIndexAndHonorsTheDeadline) {
   const Json after = expect_ok(
       service, R"({"cmd":"stats","session":")" + session + R"("})");
   EXPECT_EQ(after.find("session")->find("eco_version")->as_number(), 0.0);
+}
+
+TEST(ServiceProtocol, SetSourceRejectsProbabilitiesWhoseSumOverflows) {
+  AnalysisService service;
+  const std::string session =
+      expect_ok(service, load_line("s27")).find("session")->as_string();
+  const std::string set_source =
+      R"({"cmd":"set_source","session":")" + session + R"(","source":0,"probs":)";
+  const std::string stats = R"({"cmd":"stats","session":")" + session + R"("})";
+  const std::string query =
+      R"({"cmd":"query","session":")" + session + R"(","node":"G0"})";
+
+  // The sum is inf: normalizing would store all zeros, not 0.5/0.5/0/0.
+  expect_error(service, set_source + "[1e308,1e308,0,0]}", "bad_params");
+  EXPECT_EQ(expect_ok(service, stats).find("session")->find("eco_version")->as_number(),
+            0.0);
+
+  // The same ratios with a finite sum are accepted.
+  (void)expect_ok(service, set_source + "[1,1,0,0]}");
+  const Json g0 = expect_ok(service, query);
+  const Json* probs = g0.find("stats")->find("probs");
+  ASSERT_NE(probs, nullptr);
+  EXPECT_EQ(probs->find("p0")->as_number(), 0.5);
+  EXPECT_EQ(probs->find("p1")->as_number(), 0.5);
+  EXPECT_EQ(probs->find("pr")->as_number(), 0.0);
+  EXPECT_EQ(probs->find("pf")->as_number(), 0.0);
 }
 
 TEST(ServiceProtocol, StatsSurfaceCountersAndShutdownIsAcknowledged) {

@@ -25,6 +25,7 @@
 #include "service/session.hpp"
 #include "service/transport/server.hpp"
 #include "service/worker_pool.hpp"
+#include "util/fnv1a.hpp"
 
 namespace spsta::service {
 namespace {
@@ -318,7 +319,7 @@ TEST(ServiceWorkerPool, StatsIdentityHoldsAcrossEveryOutcomeClass) {
 
 TEST(ServiceWorkerPool, PathLoadsSplitRoutingFromTheSessionTheyCreate) {
   // Documented KNOWN MISS in route_shard: a path load routes on
-  // fnv1a64(path) because the content is not in hand at routing time, but
+  // fnv1a(path) because the content is not in hand at routing time, but
   // the session it creates is keyed on the CONTENT hash — so later
   // requests naming that session generally land on a different shard.
   // This test quantifies the split and pins the contrast: text/circuit
@@ -340,7 +341,7 @@ TEST(ServiceWorkerPool, PathLoadsSplitRoutingFromTheSessionTheyCreate) {
   for (const char* name : {"a.bench", "b.bench", "c.bench", "d.bench",
                            "e.bench", "f.bench", "g.bench", "h.bench"}) {
     const std::string candidate = dir + "/" + name;
-    if (fnv1a64(candidate) % n != content_shard) {
+    if (util::fnv1a(candidate) % n != content_shard) {
       split_path = candidate;
       break;
     }
@@ -355,7 +356,7 @@ TEST(ServiceWorkerPool, PathLoadsSplitRoutingFromTheSessionTheyCreate) {
   const std::string path_line =
       R"({"cmd":"load","path":)" + Json(split_path).dump() + "}";
   const unsigned path_shard = pool.route_shard(parse_ok(path_line));
-  EXPECT_EQ(path_shard, fnv1a64(split_path) % n);
+  EXPECT_EQ(path_shard, util::fnv1a(split_path) % n);
 
   Response loaded = pool.submit(path_line).get();
   ASSERT_TRUE(loaded.ok) << loaded.to_line();

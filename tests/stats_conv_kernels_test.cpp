@@ -2,9 +2,8 @@
 // direct convolution agreement through the batched `conv_execute` entry
 // point, discretized delay kernels, precomputed kernel spectra,
 // batched-vs-single and SIMD-vs-scalar bit-identity, edge-fold mass
-// accounting, the crossover knob (including malformed-override
-// rejection), and workspace reuse (the allocation probe behind the "zero
-// steady-state allocation" contract).
+// accounting, the crossover knob, and workspace reuse (the allocation
+// probe behind the "zero steady-state allocation" contract).
 
 #include "stats/conv_kernels.hpp"
 
@@ -109,24 +108,6 @@ TEST(ConvKernels, CrossoverKnobRestoresDefault) {
   EXPECT_EQ(conv_crossover(), 7u);
   set_conv_crossover(0);
   EXPECT_EQ(conv_crossover(), before);
-}
-
-TEST(ConvKernels, CrossoverParseAcceptsPositiveIntegers) {
-  EXPECT_EQ(parse_conv_crossover("512"), std::optional<std::size_t>{512});
-  EXPECT_EQ(parse_conv_crossover("1"), std::optional<std::size_t>{1});
-}
-
-TEST(ConvKernels, CrossoverParseRejectsMalformedValues) {
-  // Non-numeric, trailing junk, negative, zero, overflow, empty, null:
-  // all rejected (the env reader then warns once and uses the default).
-  EXPECT_FALSE(parse_conv_crossover("banana").has_value());
-  EXPECT_FALSE(parse_conv_crossover("12banana").has_value());
-  EXPECT_FALSE(parse_conv_crossover("-64").has_value());
-  EXPECT_FALSE(parse_conv_crossover("0").has_value());
-  EXPECT_FALSE(parse_conv_crossover("99999999999999999999999999").has_value());
-  EXPECT_FALSE(parse_conv_crossover(" 512").has_value());
-  EXPECT_FALSE(parse_conv_crossover("").has_value());
-  EXPECT_FALSE(parse_conv_crossover(nullptr).has_value());
 }
 
 TEST(ConvKernels, FftMatchesDirectAcrossSizes) {
