@@ -6,8 +6,8 @@
 // The two acceptance bars CI re-checks from this bench's JSON:
 //   * batched commits >= 3x the equivalent single-edit loop's throughput;
 //   * probe/revert >= 5x the edit-revert-by-re-propagation baseline.
-// Both runs must stay bit-identical to fresh full analyses (and to each
-// other across 1/2/8 propagation threads) at settle_eps = 0.
+// Every storm must stay bit-identical to a fresh full analysis at
+// settle_eps = 0; the exit status is nonzero on any miss.
 
 #include <chrono>
 #include <cstdio>
@@ -104,7 +104,6 @@ int main(int argc, char** argv) {
   std::size_t num_edits = 512;
   std::size_t batch = 32;
   std::size_t num_probes = 256;
-  unsigned threads = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--circuits=", 0) == 0) {
@@ -115,14 +114,12 @@ int main(int argc, char** argv) {
       batch = std::stoul(arg.substr(8));
     } else if (arg.rfind("--probes=", 0) == 0) {
       num_probes = std::stoul(arg.substr(9));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<unsigned>(std::stoul(arg.substr(10)));
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
     } else {
       std::fprintf(stderr,
                    "usage: eco_load [--circuits=a,b] [--edits=N] [--batch=K] "
-                   "[--probes=M] [--threads=T] [--json=FILE]\n");
+                   "[--probes=M] [--json=FILE]\n");
       return 2;
     }
   }
@@ -137,8 +134,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("=== ECO storms: single edits vs transactions vs probes "
-              "(%zu edits, batch %zu, %zu probes, %u threads) ===\n\n",
-              num_edits, batch, num_probes, threads);
+              "(%zu edits, batch %zu, %zu probes) ===\n\n",
+              num_edits, batch, num_probes);
   report::Table table({"circuit", "nodes", "single e/s", "batched e/s", "speedup",
                        "probe/s", "revert/s", "speedup", "identical"});
 
@@ -175,7 +172,6 @@ int main(int argc, char** argv) {
     // --- Single-edit loop: one cone walk (and one endpoint read) per edit.
     core::CompiledDesign single_plan(design, unit);
     IncrementalSpsta single(single_plan, sc, /*settle_eps=*/0.0);
-    single.set_threads(threads);
     const double t_single = seconds([&] {
       for (std::size_t i = 0; i < edits.size(); ++i) {
         single.set_delay(edits[i].node, edits[i].delay);
@@ -191,7 +187,6 @@ int main(int argc, char** argv) {
     // --- Transactional batches: K edits merge into one frontier, one wave.
     core::CompiledDesign batched_plan(design, unit);
     IncrementalSpsta batched(batched_plan, sc, /*settle_eps=*/0.0);
-    batched.set_threads(threads);
     const double t_batched = seconds([&] {
       for (std::size_t start = 0; start < edits.size(); start += batch) {
         const std::size_t end = std::min(edits.size(), start + batch);
@@ -211,29 +206,14 @@ int main(int argc, char** argv) {
     row.batched_reeval_per_edit = static_cast<double>(batched.nodes_reevaluated()) /
                                   static_cast<double>(num_edits);
 
-    // --- Bit-identity: both storms, a fresh full engine over the final
-    // delays, and the batched storm re-run at 2 and 8 threads must agree
-    // bitwise (settle_eps == 0).
+    // --- Bit-identity: both storms and a fresh full engine over the final
+    // delays must agree bitwise (settle_eps == 0).
     netlist::DelayModel final_delays = unit;
     for (const auto& e : edits) final_delays.set_delay(e.node, e.delay);
     core::CompiledDesign fresh_plan(design, final_delays);
     IncrementalSpsta fresh(fresh_plan, sc, /*settle_eps=*/0.0);
     row.identical = same_state(single.flush(), fresh.flush()) &&
                     same_state(batched.flush(), fresh.flush());
-    for (const unsigned t : {2u, 8u}) {
-      core::CompiledDesign mt_plan(design, unit);
-      IncrementalSpsta mt(mt_plan, sc, /*settle_eps=*/0.0);
-      mt.set_threads(t);
-      for (std::size_t start = 0; start < edits.size(); start += batch) {
-        const std::size_t end = std::min(edits.size(), start + batch);
-        mt.begin_eco();
-        for (std::size_t i = start; i < end; ++i) {
-          mt.set_delay(edits[i].node, edits[i].delay);
-        }
-        (void)mt.commit();
-      }
-      row.identical = row.identical && same_state(mt.flush(), fresh.flush());
-    }
 
     // --- Probe storm: what-if edits answered from a backward-cone wave +
     // undo log, vs the classic edit / read / revert-edit / read loop that
@@ -251,7 +231,6 @@ int main(int argc, char** argv) {
 
     core::CompiledDesign prober_plan(design, unit);
     IncrementalSpsta prober(prober_plan, sc, /*settle_eps=*/0.0);
-    prober.set_threads(threads);
     const std::vector<core::NodeTop> before = prober.flush();  // copy
 
     // Sanity: a probe answers exactly what commit-then-query would.
@@ -286,7 +265,6 @@ int main(int argc, char** argv) {
 
     core::CompiledDesign reverter_plan(design, unit);
     IncrementalSpsta reverter(reverter_plan, sc, /*settle_eps=*/0.0);
-    reverter.set_threads(threads);
     const std::uint64_t reeval_before_revert = reverter.nodes_reevaluated();
     const double t_revert = seconds([&] {
       for (std::size_t i = 0; i < num_probes; ++i) {
@@ -330,8 +308,8 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\"bench\":\"eco_load\",\"edits\":%zu,\"batch\":%zu,"
-                 "\"probes\":%zu,\"threads\":%u,\"identical\":%s,\"circuits\":[",
-                 num_edits, batch, num_probes, threads,
+                 "\"probes\":%zu,\"identical\":%s,\"circuits\":[",
+                 num_edits, batch, num_probes,
                  all_identical ? "true" : "false");
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const CircuitRow& r = rows[i];

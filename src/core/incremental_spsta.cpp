@@ -69,9 +69,49 @@ std::vector<std::uint32_t> narrow_levels(const std::vector<std::size_t>& level) 
   return out;
 }
 
-/// Waves smaller than this stay sequential even with a pool: a dirty level
-/// of a few nodes costs less to evaluate inline than to wake workers for.
-constexpr std::size_t kParallelGrain = 8;
+/// Marks \p id's combinational fanouts in \p frontier; \p mask, when
+/// given, restricts marking to ids with mask[id] != 0.
+void mark_fanouts(const CompiledDesign& plan, util::DirtyFrontier& frontier, NodeId id,
+                  const std::vector<char>* mask) {
+  for (const NodeId fo : plan.fanouts(id)) {
+    if (!plan.combinational(fo)) continue;
+    if (mask != nullptr && (*mask)[fo] == 0) continue;
+    (void)frontier.mark(fo);
+  }
+}
+
+/// The one drain loop of the moment and SSTA state arrays: takes the
+/// frontier's lowest dirty level and re-evaluates its nodes in mark order
+/// with \p eval. A node whose value moved beyond \p eps is journaled in
+/// \p undo (when given), written in place, and its fanouts are marked
+/// through \p mask. Every fanin sits at a strictly lower level, so writing
+/// in place reads exactly what evaluating the level against its
+/// pre-level state would.
+template <class Value, class Eval>
+IncrementalSpsta::CommitStats drain(const CompiledDesign& plan,
+                                    util::DirtyFrontier& frontier,
+                                    std::vector<std::uint32_t>& ids,
+                                    std::vector<Value>& values, double eps,
+                                    const std::vector<char>* mask,
+                                    std::vector<std::pair<NodeId, Value>>* undo,
+                                    const Eval& eval) {
+  IncrementalSpsta::CommitStats stats;
+  while (frontier.any()) {
+    frontier.take_level(frontier.first_level(), ids);
+    stats.cone_size += ids.size();
+    for (const NodeId id : ids) {
+      const Value updated = eval(id);
+      if (nearly_equal(updated, values[id], eps)) {
+        ++stats.settled_early;
+        continue;
+      }
+      if (undo != nullptr) undo->emplace_back(id, values[id]);
+      values[id] = updated;
+      mark_fanouts(plan, frontier, id, mask);
+    }
+  }
+  return stats;
+}
 
 }  // namespace
 
@@ -102,15 +142,6 @@ void IncrementalSpsta::require_in_sync(const char* what) const {
 
 void IncrementalSpsta::mark_dirty(NodeId id) { (void)frontier_.mark(id); }
 
-void IncrementalSpsta::mark_fanouts(util::DirtyFrontier& frontier, NodeId id,
-                                    const std::vector<char>* mask) {
-  for (NodeId fo : plan_.fanouts(id)) {
-    if (!plan_.combinational(fo)) continue;
-    if (mask != nullptr && (*mask)[fo] == 0) continue;
-    (void)frontier.mark(fo);
-  }
-}
-
 void IncrementalSpsta::apply_source(NodeId src, const netlist::SourceStats& stats) {
   state_[src] = source_top(stats);
 }
@@ -121,65 +152,22 @@ IncrementalSpsta::CommitStats IncrementalSpsta::propagate_wave(
   static obs::Counter& cone_counter = obs::registry().counter("incremental.cone_size");
   static obs::Counter& settled_counter =
       obs::registry().counter("incremental.settled_early");
-  // Cone-*size* histogram riding the latency-histogram machinery: a cone of
-  // N nodes is recorded as N µs (N * 1000 ns), so the log2-µs buckets read
-  // as log2-node-count buckets (DESIGN.md §17).
-  static obs::LatencyHistogram& cone_hist =
-      obs::registry().histogram("incremental.cone_nodes");
 
-  CommitStats stats;
-  if (threads_ > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<util::ThreadPool>(threads_);
-  }
-  while (frontier_.any()) {
-    const std::size_t level = frontier_.first_level();
-    frontier_.take_level(level, wave_ids_);
-    if (wave_ids_.empty()) continue;
-    ++stats.levels_touched;
-    const std::size_t n = wave_ids_.size();
-    wave_tops_.resize(n);
-    wave_changed_.assign(n, 0);
-
-    // Settle votes: evaluate the whole dirty level against the *pre-level*
-    // state. Every fanin lives at a strictly lower level, so concurrent
-    // evaluations read only settled data and each index writes only its own
-    // scratch slot — the result is schedule-independent.
-    const auto eval = [&](std::size_t k) {
-      const NodeId id = wave_ids_[k];
-      const auto edited = std::lower_bound(
-          overlay.begin(), overlay.end(), id,
-          [](const auto& entry, NodeId node) { return entry.first < node; });
-      const bool probed = edited != overlay.end() && edited->first == id;
-      wave_tops_[k] = propagate_node_top(
-          plan_, id, state_, probed ? edited->second : plan_.delays().delay(id, true),
-          probed ? edited->second : plan_.delays().delay(id, false));
-      wave_changed_[k] = nearly_equal(wave_tops_[k], state_[id], settle_eps_) ? 0 : 1;
-    };
-    if (pool_ != nullptr && threads_ > 1 && n >= kParallelGrain) {
-      pool_->for_each_index(n, eval);
-    } else {
-      for (std::size_t k = 0; k < n; ++k) eval(k);
-    }
-    stats.cone_size += n;
-
-    // Deterministic merge in mark order: write changed states, extend the
-    // frontier, snapshot overwritten tops for the probe's undo log.
-    for (std::size_t k = 0; k < n; ++k) {
-      if (wave_changed_[k] == 0) {
-        ++stats.settled_early;
-        continue;
-      }
-      const NodeId id = wave_ids_[k];
-      if (undo_tops != nullptr) undo_tops->emplace_back(id, state_[id]);
-      state_[id] = wave_tops_[k];
-      mark_fanouts(frontier_, id, mask);
-    }
-  }
+  const CommitStats stats =
+      drain(plan_, frontier_, wave_ids_, state_, settle_eps_, mask, undo_tops,
+            [&](NodeId id) {
+              const auto edited = std::lower_bound(
+                  overlay.begin(), overlay.end(), id,
+                  [](const auto& entry, NodeId node) { return entry.first < node; });
+              const bool probed = edited != overlay.end() && edited->first == id;
+              return propagate_node_top(
+                  plan_, id, state_,
+                  probed ? edited->second : plan_.delays().delay(id, true),
+                  probed ? edited->second : plan_.delays().delay(id, false));
+            });
   nodes_reevaluated_ += stats.cone_size;
-  settled_early_ += stats.settled_early;
   cone_counter.add(stats.cone_size);
   settled_counter.add(stats.settled_early);
-  cone_hist.record_ns(stats.cone_size * 1000);
   return stats;
 }
 
@@ -217,16 +205,10 @@ const std::vector<NodeArrival>& IncrementalSpsta::ssta() {
     ssta_frontier_.reset(narrow_levels(plan_.levelization().level));
     return arrival_;
   }
-  while (ssta_frontier_.any()) {
-    ssta_frontier_.take_level(ssta_frontier_.first_level(), wave_ids_);
-    for (const NodeId id : wave_ids_) {
-      const NodeArrival updated = propagate_gate_arrival(plan_, id, arrival_);
-      ++ssta_reevaluated_;
-      if (nearly_equal(updated, arrival_[id], settle_eps_)) continue;
-      arrival_[id] = updated;
-      mark_fanouts(ssta_frontier_, id, nullptr);
-    }
-  }
+  const CommitStats stats = drain<NodeArrival>(
+      plan_, ssta_frontier_, wave_ids_, arrival_, settle_eps_, /*mask=*/nullptr,
+      /*undo=*/nullptr, [&](NodeId id) { return propagate_gate_arrival(plan_, id, arrival_); });
+  ssta_reevaluated_ += stats.cone_size;
   return arrival_;
 }
 
@@ -256,12 +238,12 @@ void IncrementalSpsta::set_source_stats(std::size_t source_index,
   }
   const NodeId src = sources[source_index];
   apply_source(src, stats);
-  mark_fanouts(frontier_, src, nullptr);
+  mark_fanouts(plan_, frontier_, src, nullptr);
   if (!arrival_.empty()) {
     // SSTA is input-oblivious: a probability-only edit leaves its cone be.
     const NodeArrival arrival{stats.rise_arrival, stats.fall_arrival};
     if (!nearly_equal(arrival, arrival_[src], settle_eps_)) {
-      mark_fanouts(ssta_frontier_, src, nullptr);
+      mark_fanouts(plan_, ssta_frontier_, src, nullptr);
     }
     arrival_[src] = arrival;
   }
@@ -373,7 +355,7 @@ IncrementalSpsta::ProbeResult IncrementalSpsta::probe(
     const NodeId src = sources[edit.source_index];
     undo_tops.emplace_back(src, state_[src]);
     apply_source(src, edit.source);
-    mark_fanouts(frontier_, src, &mask);
+    mark_fanouts(plan_, frontier_, src, &mask);
   }
 
   ProbeResult result;
@@ -388,13 +370,6 @@ IncrementalSpsta::ProbeResult IncrementalSpsta::probe(
     state_[it->first] = it->second;
   }
   return result;
-}
-
-void IncrementalSpsta::set_threads(unsigned threads) {
-  const unsigned resolved = util::resolve_threads(threads);
-  if (resolved == threads_) return;
-  threads_ = resolved;
-  pool_.reset();  // respawned lazily at the next wave
 }
 
 }  // namespace spsta::core

@@ -7,7 +7,7 @@
 /// update stops early where both the four-value probabilities and the
 /// rise/fall tops settle.
 ///
-/// The ECO hot path (DESIGN.md §17) adds three warm-edit surfaces on top of
+/// The ECO hot path (DESIGN.md §17) adds two warm-edit surfaces on top of
 /// the lazy single-edit engine:
 ///   * transactions — begin_eco() / N edits / commit() coalesce a batch
 ///     into one merged dirty frontier and a single propagation wave;
@@ -16,21 +16,21 @@
 ///     wave: the probe's delays sit in a read-only overlay the wave
 ///     consults before the plan, and an O(cone) undo log restores the
 ///     overwritten states, so the plan and the state stay bitwise
-///     untouched;
-///   * level-parallel propagation — set_threads(n) evaluates each dirty
-///     level through util::ThreadPool with settle votes merged in
-///     deterministic mark order, bit-identical at any thread count.
+///     untouched.
+///
+/// A wave drains the dirty frontier level by level on the caller's thread,
+/// writing each changed node in place; a level's nodes read only lower
+/// levels, so the order within a level does not matter.
 ///
 /// The same engine serves block-based SSTA (ssta()): a second arrival
 /// array over the same plan, built by one full pass on the first read and
 /// afterwards updated over the SSTA cone of the delay and source-arrival
-/// edits made since the previous read. Commits, probes and moment reads
-/// never touch it.
+/// edits made since the previous read, through the same drain loop.
+/// Commits, probes and moment reads never touch it.
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -38,7 +38,6 @@
 #include "core/spsta.hpp"
 #include "core/ssta_kernel.hpp"
 #include "util/dirty_frontier.hpp"
-#include "util/thread_pool.hpp"
 
 namespace spsta::core {
 
@@ -82,9 +81,8 @@ class IncrementalSpsta {
 
   /// Cost accounting of one propagation wave (a commit or a probe).
   struct CommitStats {
-    std::uint64_t cone_size = 0;       ///< nodes re-evaluated by the wave
-    std::uint64_t settled_early = 0;   ///< re-evaluated nodes that settled
-    std::uint64_t levels_touched = 0;  ///< dirty levels the wave visited
+    std::uint64_t cone_size = 0;      ///< nodes re-evaluated by the wave
+    std::uint64_t settled_early = 0;  ///< re-evaluated nodes that settled
   };
 
   /// What a probe answers: one NodeTop per requested target, plus the
@@ -160,29 +158,15 @@ class IncrementalSpsta {
   [[nodiscard]] ProbeResult probe(std::span<const EcoEdit> edits,
                                   std::span<const netlist::NodeId> targets);
 
-  /// Thread count for level-parallel propagation (default 1 = sequential).
-  /// Results are bit-identical at any setting; 0 means all hardware
-  /// threads.
-  void set_threads(unsigned threads);
-  [[nodiscard]] unsigned threads() const noexcept { return threads_; }
-
   /// Nodes re-evaluated by updates since construction (probes included).
   [[nodiscard]] std::uint64_t nodes_reevaluated() const noexcept {
     return nodes_reevaluated_;
-  }
-  /// Re-evaluated nodes whose state settled (did not change) since
-  /// construction.
-  [[nodiscard]] std::uint64_t settled_early() const noexcept {
-    return settled_early_;
   }
   /// Nodes the SSTA updates re-evaluated since construction (the first
   /// read's full pass is not counted).
   [[nodiscard]] std::uint64_t ssta_reevaluated() const noexcept {
     return ssta_reevaluated_;
   }
-
-  /// The settle tolerance this session was built with.
-  [[nodiscard]] double settle_eps() const noexcept { return settle_eps_; }
 
  private:
   /// A probe's delay edits, one per node (last edit wins), sorted by node.
@@ -193,10 +177,8 @@ class IncrementalSpsta {
   /// engine did not make.
   void require_in_sync(const char* what) const;
   void mark_dirty(netlist::NodeId id);
-  void mark_fanouts(util::DirtyFrontier& frontier, netlist::NodeId id,
-                    const std::vector<char>* mask);
   void apply_source(netlist::NodeId src, const netlist::SourceStats& stats);
-  /// Drains the frontier level by level. \p mask restricts marking to ids
+  /// Drains the moment frontier. \p mask restricts marking to ids
   /// with mask[id] != 0 (the probe's backward cone); \p undo_tops records
   /// every overwritten NodeTop for revert; \p overlay supplies delays that
   /// take precedence over the plan's (the probe's edits).
@@ -215,7 +197,6 @@ class IncrementalSpsta {
   util::DirtyFrontier frontier_;
   bool in_txn_ = false;
   std::uint64_t nodes_reevaluated_ = 0;
-  std::uint64_t settled_early_ = 0;
   double settle_eps_ = kDefaultSettleEps;
 
   /// SSTA arrivals; empty until the first ssta() read.
@@ -225,15 +206,9 @@ class IncrementalSpsta {
   util::DirtyFrontier ssta_frontier_;
   std::uint64_t ssta_reevaluated_ = 0;
 
-  unsigned threads_ = 1;
-  /// Lazily spawned when threads_ > 1; reused across waves (one blocking
-  /// job per dirty level).
-  std::unique_ptr<util::ThreadPool> pool_;
-
-  // Wave scratch, reused across propagations (no steady-state allocation).
+  /// One drained level's ids, reused across waves (no steady-state
+  /// allocation).
   std::vector<std::uint32_t> wave_ids_;
-  std::vector<NodeTop> wave_tops_;
-  std::vector<char> wave_changed_;
 
   /// Memoized backward-cone masks for probe target sets (small: probes
   /// overwhelmingly ask for the same endpoint set).

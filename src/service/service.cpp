@@ -61,6 +61,17 @@ double number_field(const Json& object, std::string_view key, double fallback,
   return x;
 }
 
+/// number_field for a count or seed: a fraction is rejected rather than
+/// truncated, so 0.5 threads never reads as 0 ("all hardware threads").
+double integer_field(const Json& object, std::string_view key, double fallback,
+                     double lo, double hi) {
+  const double x = number_field(object, key, fallback, lo, hi);
+  if (x != std::floor(x)) {
+    fail(ErrorCode::BadParams, "'" + std::string(key) + "' must be an integer");
+  }
+  return x;
+}
+
 Engine engine_of(const Json& body, Engine fallback = Engine::SpstaMoment) {
   const Json* engine = body.find("engine");
   if (engine == nullptr) return fallback;
@@ -295,7 +306,7 @@ AnalyzeParams AnalyzeParams::parse(const Json& body) {
     // workers than the host has cores; results do not depend on the count.
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     p.request.threads = std::min(
-        static_cast<unsigned>(number_field(*params, "threads", 1, 0, 1024)), hw);
+        static_cast<unsigned>(integer_field(*params, "threads", 1, 0, 1024)), hw);
   }
   if (params->find("grid_dt") != nullptr) {
     p.request.grid_dt = number_field(*params, "grid_dt", 0.05, 1e-6, 1e6);
@@ -305,15 +316,15 @@ AnalyzeParams AnalyzeParams::parse(const Json& body) {
   }
   if (params->find("max_grid_points") != nullptr) {
     p.request.max_grid_points = static_cast<std::size_t>(
-        number_field(*params, "max_grid_points", 4096, 2, 1 << 22));
+        integer_field(*params, "max_grid_points", 4096, 2, 1 << 22));
   }
   if (params->find("runs") != nullptr) {
     p.request.runs =
-        static_cast<std::uint64_t>(number_field(*params, "runs", 10000, 1, 1e9));
+        static_cast<std::uint64_t>(integer_field(*params, "runs", 10000, 1, 1e9));
   }
   if (params->find("seed") != nullptr) {
     p.request.seed = static_cast<std::uint64_t>(
-        number_field(*params, "seed", 1, 0, 9.007199254740992e15));
+        integer_field(*params, "seed", 1, 0, 9.007199254740992e15));
   }
   for (const Json::Member& m : params->as_object()) {
     if (m.first != "threads" && m.first != "grid_dt" && m.first != "grid_pad_sigma" &&

@@ -53,14 +53,4 @@ void DirtyFrontier::take_level(std::size_t level, std::vector<std::uint32_t>& ou
   if (pending_ != 0 && level >= lo_) lo_ = level + 1;
 }
 
-void DirtyFrontier::clear() {
-  if (pending_ == 0) return;
-  for (std::size_t level = lo_; level <= hi_ && level < buckets_.size(); ++level) {
-    for (const std::uint32_t id : buckets_[level]) dirty_[id] = 0;
-    buckets_[level].clear();
-  }
-  pending_ = 0;
-  lo_ = hi_ = 0;
-}
-
 }  // namespace spsta::util

@@ -2,8 +2,8 @@
 /// Level-bucketed dirty-set bookkeeping of the incremental timing engine
 /// (`core::IncrementalSpsta`), which keeps one frontier for its moment
 /// state and one for its SSTA arrivals. The dirty set is handed back one
-/// *level at a time*, so a propagation wave can evaluate a whole level in
-/// parallel and merge results in deterministic mark order (DESIGN.md §17).
+/// *level at a time*, in mark order, and a propagation wave re-evaluates
+/// each level before any mark it makes on the next (DESIGN.md §17).
 ///
 /// The helper is topology-agnostic: it knows nothing about netlists, only a
 /// per-node level assignment. The invariant callers must keep is the one the
@@ -58,9 +58,6 @@ class DirtyFrontier {
   /// (replacing its contents) and clears their dirty flags. While the
   /// caller processes the batch, new marks must target higher levels only.
   void take_level(std::size_t level, std::vector<std::uint32_t>& out);
-
-  /// Drops every pending mark (the what-if probe's abort path).
-  void clear();
 
  private:
   std::vector<std::uint32_t> level_of_;

@@ -171,6 +171,75 @@ TEST(IncrementalSpsta, TransactionCommitMatchesFreshFullRun) {
   expect_bits_equal(inc.flush(), fresh.flush(), n);
 }
 
+// The work a fixed script does, pinned: every commit's and probe's cone
+// size and settled count, and the SSTA updates' total. Bit-identity alone
+// would not show a wave that visits more nodes than it must (or settles
+// fewer) while still landing on the same state.
+TEST(IncrementalSpsta, WaveAccountingIsPinned) {
+  using Stats = std::pair<std::uint64_t, std::uint64_t>;  // {cone_size, settled_early}
+  const Netlist n = netlist::make_paper_circuit("s1238");
+  const std::vector<netlist::SourceStats> sc{netlist::scenario_I()};
+  CompiledDesign plan(n, netlist::DelayModel::unit(n));
+  IncrementalSpsta inc(plan, sc, /*settle_eps=*/0.0);
+
+  std::vector<NodeId> gates;
+  for (NodeId id = 0; id < n.node_count(); ++id) {
+    if (netlist::is_combinational(n.node(id).type)) gates.push_back(id);
+  }
+  const std::vector<NodeId> endpoints = n.timing_endpoints();
+  const std::size_t num_sources = n.timing_sources().size();
+  stats::Xoshiro256 rng(1238);
+
+  std::vector<Stats> commits;
+  std::vector<Stats> probes;
+  for (int round = 0; round < 6; ++round) {
+    // An 8-edit commit: five delays, one gate moved and moved back (it is
+    // re-evaluated and settles), and one source whose arrival moves.
+    inc.begin_eco();
+    for (int k = 0; k < 5; ++k) {
+      inc.set_delay(gates[rng.uniform_index(gates.size())],
+                    {rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.01)});
+    }
+    const NodeId bounced = gates[rng.uniform_index(gates.size())];
+    const stats::Gaussian kept = plan.delays().delay(bounced);
+    inc.set_delay(bounced, {kept.mean + 0.5, kept.var});
+    inc.set_delay(bounced, kept);
+    netlist::SourceStats source =
+        round % 2 == 0 ? netlist::scenario_II() : netlist::scenario_I();
+    source.rise_arrival = {0.1 * round, 0.5};
+    inc.set_source_stats(rng.uniform_index(num_sources), source);
+    const auto committed = inc.commit();
+    commits.emplace_back(committed.cone_size, committed.settled_early);
+
+    // A mixed what-if against two endpoints: one delay, one gate moved and
+    // moved back, and one source.
+    netlist::SourceStats what_if_source = netlist::scenario_II();
+    what_if_source.fall_arrival = {-0.2 * round, 0.8};
+    const NodeId probe_bounced = gates[rng.uniform_index(gates.size())];
+    const stats::Gaussian probe_kept = plan.delays().delay(probe_bounced);
+    const std::vector<IncrementalSpsta::EcoEdit> what_if{
+        IncrementalSpsta::EcoEdit::delay_edit(gates[rng.uniform_index(gates.size())],
+                                              {rng.uniform(0.5, 2.0), 0.0}),
+        IncrementalSpsta::EcoEdit::delay_edit(probe_bounced,
+                                              {probe_kept.mean + 0.5, probe_kept.var}),
+        IncrementalSpsta::EcoEdit::delay_edit(probe_bounced, probe_kept),
+        IncrementalSpsta::EcoEdit::source_edit(rng.uniform_index(num_sources),
+                                               what_if_source)};
+    const std::vector<NodeId> targets{endpoints[round % endpoints.size()],
+                                      endpoints[(round * 7 + 3) % endpoints.size()]};
+    const auto probed = inc.probe(what_if, targets);
+    probes.emplace_back(probed.stats.cone_size, probed.stats.settled_early);
+
+    (void)inc.ssta();
+  }
+
+  EXPECT_EQ(commits, (std::vector<Stats>{
+                         {308, 0}, {185, 1}, {323, 0}, {337, 0}, {217, 1}, {181, 1}}));
+  EXPECT_EQ(probes, (std::vector<Stats>{
+                        {0, 0}, {134, 1}, {134, 1}, {104, 1}, {95, 0}, {149, 1}}));
+  EXPECT_EQ(inc.ssta_reevaluated(), 1243u);
+}
+
 TEST(IncrementalSpsta, ReadsThrowWhileTransactionOpen) {
   const Netlist n = netlist::make_s27();
   const netlist::DelayModel d = netlist::DelayModel::unit(n);

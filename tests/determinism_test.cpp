@@ -382,12 +382,13 @@ void expect_same_ssta(const ssta::SstaResult& a, const ssta::SstaResult& b) {
   }
 }
 
-TEST(Determinism, EcoTransactionsProbesAndQueriesAreThreadCountInvariant) {
-  // The incremental engine's level-parallel wave (DESIGN.md §17): an
-  // interleaved sequence of batched transactions, what-if probes and point
-  // queries must be bit-identical at 1/2/8 threads AND to a fresh full run
-  // over the final delay model — probes included, since they propagate
-  // through the same parallel wave before their undo log rolls them back.
+TEST(Determinism, EcoTransactionsProbesAndQueriesMatchFreshRuns) {
+  // The incremental engine's in-place wave (DESIGN.md §17): an interleaved
+  // sequence of batched transactions, what-if probes and point queries must
+  // be bit-identical to fresh full runs — every probe to a run over that
+  // round's delays plus its what-if edit, every query to a run over that
+  // round's delays, and the final state to a run over the final delays
+  // (probes must not have left a trace).
   const netlist::Netlist n = test_circuit();
   const netlist::DelayModel unit = netlist::DelayModel::unit(n);
   const std::vector sources{netlist::scenario_I()};
@@ -398,51 +399,35 @@ TEST(Determinism, EcoTransactionsProbesAndQueriesAreThreadCountInvariant) {
     if (netlist::is_combinational(n.node(id).type)) gates.push_back(id);
   }
 
-  // One deterministic interleaved script, replayed per thread count.
-  const auto run_script = [&](unsigned threads) {
-    core::CompiledDesign plan(n, unit);
-    core::IncrementalSpsta inc(plan, sources, /*settle_eps=*/0.0);
-    inc.set_threads(threads);
-    std::vector<core::NodeTop> probed;   // every probe answer, in order
-    std::vector<core::NodeTop> queried;  // every point query, in order
-    for (int round = 0; round < 6; ++round) {
-      inc.begin_eco();
-      for (int k = 0; k < 8; ++k) {
-        const std::size_t g = (round * 37 + k * 11) % gates.size();
-        inc.set_delay(gates[g], {1.0 + 0.1 * static_cast<double>(k + round), 0.0});
-      }
-      (void)inc.commit();
-      const core::IncrementalSpsta::EcoEdit what_if =
-          core::IncrementalSpsta::EcoEdit::delay_edit(
-              gates[(round * 13) % gates.size()], {0.6, 0.0});
-      const NodeId target = endpoints[round % endpoints.size()];
-      const auto probe = inc.probe({&what_if, 1}, {&target, 1});
-      probed.push_back(probe.tops.front());
-      queried.push_back(inc.node(endpoints[(round * 5) % endpoints.size()]));
+  core::CompiledDesign plan(n, unit);
+  core::IncrementalSpsta inc(plan, sources, /*settle_eps=*/0.0);
+  netlist::DelayModel committed = unit;
+  for (int round = 0; round < 6; ++round) {
+    inc.begin_eco();
+    for (int k = 0; k < 8; ++k) {
+      const NodeId g = gates[(round * 37 + k * 11) % gates.size()];
+      const stats::Gaussian delay{1.0 + 0.1 * static_cast<double>(k + round), 0.0};
+      inc.set_delay(g, delay);
+      committed.set_delay(g, delay);
     }
-    std::vector<core::NodeTop> state = inc.flush();
-    return std::tuple(std::move(state), std::move(probed), std::move(queried));
-  };
-
-  const auto [state1, probed1, queried1] = run_script(1);
-  for (const unsigned threads : {2u, 8u}) {
-    const auto [state, probed, queried] = run_script(threads);
-    expect_tops_equal(state, state1);
-    expect_tops_equal(probed, probed1);
-    expect_tops_equal(queried, queried1);
+    (void)inc.commit();
+    const core::IncrementalSpsta::EcoEdit what_if =
+        core::IncrementalSpsta::EcoEdit::delay_edit(
+            gates[(round * 13) % gates.size()], {0.6, 0.0});
+    const NodeId target = endpoints[round % endpoints.size()];
+    const auto probe = inc.probe({&what_if, 1}, {&target, 1});
+    netlist::DelayModel probed_delays = committed;
+    probed_delays.set_delay(what_if.node, what_if.delay);
+    expect_tops_equal({probe.tops.front()},
+                      {core::run_spsta_moment(n, probed_delays, sources).node[target]});
+    const NodeId queried = endpoints[(round * 5) % endpoints.size()];
+    expect_tops_equal({inc.node(queried)},
+                      {core::run_spsta_moment(n, committed, sources).node[queried]});
   }
 
   // Fresh full run over the final committed delays (probes must not have
-  // left a trace): replay only the committed edits into a plain model.
-  netlist::DelayModel final_delays = unit;
-  for (int round = 0; round < 6; ++round) {
-    for (int k = 0; k < 8; ++k) {
-      const std::size_t g = (round * 37 + k * 11) % gates.size();
-      final_delays.set_delay(gates[g],
-                             {1.0 + 0.1 * static_cast<double>(k + round), 0.0});
-    }
-  }
-  expect_tops_equal(state1, core::run_spsta_moment(n, final_delays, sources).node);
+  // left a trace): the plain model holds only the committed edits.
+  expect_tops_equal(inc.flush(), core::run_spsta_moment(n, committed, sources).node);
 }
 
 TEST(Determinism, EveryEngineAfterSessionEcoMatchesAFreshAnalyzer) {
@@ -464,7 +449,6 @@ TEST(Determinism, EveryEngineAfterSessionEcoMatchesAFreshAnalyzer) {
   for (const unsigned threads : {1u, 2u, 8u}) {
     service::Session session("det", n);
     const std::lock_guard<std::mutex> lock(session.mutex);
-    session.warm_incremental().set_threads(threads);
     netlist::DelayModel final_delays = netlist::DelayModel::unit(n);
     std::vector<netlist::SourceStats> final_sources(num_sources, netlist::scenario_I());
 

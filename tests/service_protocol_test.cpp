@@ -189,6 +189,32 @@ TEST(ServiceProtocol, AnalyzeThreadsAreClampedToTheHost) {
                "bad_params");
 }
 
+TEST(ServiceProtocol, AnalyzeIntegerParamsRejectFractions) {
+  // A fraction is rejected, not truncated: threads 0.5 would otherwise run
+  // on every hardware thread, and seed 1.5 would share seed 1's cache entry.
+  // Each field goes to an engine that honors it, so the integral value of
+  // the same request is answered.
+  AnalysisService service;
+  const std::string session =
+      expect_ok(service, load_line("s27")).find("session")->as_string();
+  const auto line = [&](const char* engine, const std::string& params) {
+    return R"({"cmd":"analyze","session":")" + session + R"(","engine":")" + engine +
+           R"(","params":{)" + params + "}}";
+  };
+  const struct {
+    const char* engine;
+    const char* fraction;
+    const char* integral;
+  } cases[] = {{"mc", R"("threads":0.5)", R"("threads":1.0)"},
+               {"spsta_numeric", R"("max_grid_points":64.5)", R"("max_grid_points":64)"},
+               {"mc", R"("runs":1000.5)", R"("runs":1000)"},
+               {"mc", R"("seed":1.5)", R"("seed":2)"}};
+  for (const auto& c : cases) {
+    expect_error(service, line(c.engine, c.fraction), "bad_params");
+    (void)expect_ok(service, line(c.engine, c.integral));
+  }
+}
+
 TEST(ServiceProtocol, LoadingIdenticalContentReusesTheSession) {
   AnalysisService service;
   const Json first = expect_ok(service, load_line("s27"));

@@ -1,5 +1,5 @@
-// Tests for the shared level-bucketed dirty-set helper both incremental
-// engines drive their propagation waves through.
+// Tests for the level-bucketed dirty-set helper the incremental engine
+// drains its moment and SSTA waves through.
 
 #include "util/dirty_frontier.hpp"
 
@@ -77,19 +77,6 @@ TEST(DirtyFrontier, DrainWithInWaveMarksVisitsLevelsInOrder) {
     }
   }
   EXPECT_EQ(levels_seen, (std::vector<std::size_t>{0, 1, 2, 3}));
-}
-
-TEST(DirtyFrontier, ClearDropsAllPendingMarks) {
-  DirtyFrontier frontier({0, 1, 2});
-  frontier.mark(0);
-  frontier.mark(2);
-  frontier.clear();
-  EXPECT_FALSE(frontier.any());
-  EXPECT_FALSE(frontier.marked(0));
-  EXPECT_FALSE(frontier.marked(2));
-  // Marks after a clear start a fresh window.
-  EXPECT_TRUE(frontier.mark(1));
-  EXPECT_EQ(frontier.first_level(), 1u);
 }
 
 TEST(DirtyFrontier, ResetRekeysTopologyAndDropsMarks) {
