@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "netlist/levelize.hpp"
-#include "power/transition_density.hpp"
+#include "sigprob/boolean_difference.hpp"
 #include "sigprob/signal_prob.hpp"
 
 namespace spsta::core {
@@ -61,7 +61,7 @@ ToggleMoments propagate_toggle_moments(const netlist::Netlist& design,
     fanin_probs.clear();
     for (NodeId f : node.fanins) fanin_probs.push_back(prob[f]);
     const std::vector<double> w =
-        power::boolean_difference_probabilities(node.type, fanin_probs);
+        sigprob::boolean_difference_probabilities(node.type, fanin_probs);
 
     // Mean (Eq. 13 line 1).
     double mean = 0.0;

@@ -67,7 +67,6 @@ struct ChunkAccum {
   stats::RunningMoments circuit_max;
   std::uint64_t quiet_runs = 0;
   std::vector<double> circuit_max_samples;
-  std::vector<std::uint64_t> critical_count;
 };
 
 /// Runs per block: one bit of a machine word per run.
@@ -159,20 +158,15 @@ class BlockSim {
       if (config.track_circuit_max) {
         bool any = false;
         double latest = 0.0;
-        NodeId latest_ep = 0;
         for (NodeId ep : endpoints) {
           if (!moves(ep, l)) continue;
           const double t = time_[ep * kLanes + l];
-          if (!any || t > latest) {
-            latest = t;
-            latest_ep = ep;
-          }
+          if (!any || t > latest) latest = t;
           any = true;
         }
         if (any) {
           acc.circuit_max.add(latest);
           acc.circuit_max_samples.push_back(latest);
-          ++acc.critical_count[latest_ep];
         } else {
           ++acc.quiet_runs;
         }
@@ -406,7 +400,6 @@ MonteCarloResult run_monte_carlo(const core::CompiledDesign& plan,
 
   MonteCarloResult result;
   result.node.resize(node_count);
-  result.critical_count.assign(node_count, 0);
   result.runs = config.runs;
   if (config.histogram_node) {
     result.histogram.emplace(config.histogram_lo, config.histogram_hi,
@@ -449,7 +442,6 @@ MonteCarloResult run_monte_carlo(const core::CompiledDesign& plan,
       acc.histogram.emplace(config.histogram_lo, config.histogram_hi,
                             config.histogram_bins);
     }
-    if (config.track_circuit_max) acc.critical_count.assign(node_count, 0);
 
     BlockSim sim(plan, source_stats, base_rise, base_fall, delays_fixed);
     const std::uint64_t first = static_cast<std::uint64_t>(c) * chunk_runs;
@@ -491,11 +483,6 @@ MonteCarloResult run_monte_carlo(const core::CompiledDesign& plan,
     result.circuit_max_samples.insert(result.circuit_max_samples.end(),
                                       acc.circuit_max_samples.begin(),
                                       acc.circuit_max_samples.end());
-    if (config.track_circuit_max) {
-      for (NodeId id = 0; id < node_count; ++id) {
-        result.critical_count[id] += acc.critical_count[id];
-      }
-    }
   }
   std::sort(result.circuit_max_samples.begin(), result.circuit_max_samples.end());
   return result;

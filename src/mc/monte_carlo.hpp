@@ -79,9 +79,6 @@ struct MonteCarloResult {
   stats::RunningMoments circuit_max;
   std::uint64_t quiet_runs = 0;
   std::vector<double> circuit_max_samples;
-  /// critical_count[node]: runs in which this endpoint had the latest
-  /// arrival (zero for non-endpoints). Also requires track_circuit_max.
-  std::vector<std::uint64_t> critical_count;
 
   /// Empirical timing yield: fraction of runs whose latest endpoint
   /// arrival is <= \p period (quiet runs always meet timing). Requires

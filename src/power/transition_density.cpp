@@ -12,13 +12,6 @@ namespace spsta::power {
 using netlist::GateType;
 using netlist::NodeId;
 
-std::vector<double> boolean_difference_probabilities(GateType type,
-                                                     std::span<const double> p) {
-  // The math lives with the signal-probability machinery; this forwarder
-  // keeps power's historical entry point.
-  return sigprob::boolean_difference_probabilities(type, p);
-}
-
 TransitionDensities propagate_transition_density(const netlist::Netlist& design,
                                                  std::span<const double> source_probs,
                                                  std::span<const double> source_densities,
@@ -108,7 +101,7 @@ TransitionDensities propagate_transition_density(const netlist::Netlist& design,
     fanin_probs.clear();
     for (NodeId f : node.fanins) fanin_probs.push_back(out.signal_probability[f]);
     const std::vector<double> diff =
-        boolean_difference_probabilities(node.type, fanin_probs);
+        sigprob::boolean_difference_probabilities(node.type, fanin_probs);
     double acc = 0.0;
     for (std::size_t i = 0; i < node.fanins.size(); ++i) {
       acc += diff[i] * out.density[node.fanins[i]];

@@ -14,13 +14,6 @@
 
 namespace spsta::power {
 
-/// P(dy/dx_i = 1) for each input of a gate whose inputs are independent
-/// with the given one-probabilities. For an AND gate this is the
-/// probability all *other* inputs are 1, etc. XOR differences are
-/// identically 1.
-[[nodiscard]] std::vector<double> boolean_difference_probabilities(
-    netlist::GateType type, std::span<const double> input_probs);
-
 /// How the per-gate Boolean-difference probabilities are computed.
 enum class DensityMethod {
   /// Independent-input closed forms per gate, probabilities from the

@@ -1,6 +1,6 @@
 // Tests for direction-dependent (rise/fall) gate delays across every
-// engine: the model, SSTA, SPSTA (moment + numeric), canonical SSTA,
-// corner STA, and the Monte Carlo ground truth.
+// engine: the model, SSTA, SPSTA (moment + numeric), canonical SSTA and
+// the Monte Carlo ground truth.
 
 #include <cmath>
 
@@ -11,7 +11,6 @@
 #include "netlist/iscas89.hpp"
 #include "ssta/canonical_ssta.hpp"
 #include "ssta/ssta.hpp"
-#include "ssta/sta.hpp"
 
 namespace spsta {
 namespace {
@@ -118,19 +117,6 @@ TEST(DirectionalDelay, CanonicalSstaAgrees) {
   EXPECT_NEAR(r.arrival[g].rise.mean(), 2.0, 1e-9);
   EXPECT_NEAR(r.arrival[g].rise.variance(), 0.04, 1e-9);
   EXPECT_NEAR(r.arrival[g].fall.mean(), 0.5, 1e-9);
-}
-
-TEST(DirectionalDelay, CornerStaBoundsBothDirections) {
-  Netlist n;
-  const NodeId a = n.add_input("a");
-  const NodeId g = n.add_gate(GateType::Buf, "g", {a});
-  n.mark_output(g);
-  netlist::DelayModel dm = netlist::DelayModel::unit(n);
-  dm.set_rise_delay(g, {2.0, 0.0});
-  dm.set_fall_delay(g, {0.5, 0.0});
-  const ssta::StaResult r = ssta::run_sta(n, dm, 10.0);
-  EXPECT_DOUBLE_EQ(r.arrival[g].latest, 2.0);
-  EXPECT_DOUBLE_EQ(r.arrival[g].earliest, 0.5);
 }
 
 TEST(DirectionalDelay, McHonorsDirectionPerGate) {

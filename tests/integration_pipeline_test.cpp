@@ -1,13 +1,10 @@
-// Cross-module integration: sequential fixpoint feeding SPSTA, yield and
-// criticality validated against Monte Carlo on suite circuits.
+// Cross-module integration: SPSTA yield and scenario invariants validated
+// against Monte Carlo on suite circuits.
 
 #include <cmath>
-#include <numeric>
 
 #include <gtest/gtest.h>
 
-#include "core/criticality.hpp"
-#include "core/sequential.hpp"
 #include "core/spsta.hpp"
 #include "core/yield.hpp"
 #include "mc/monte_carlo.hpp"
@@ -17,36 +14,6 @@ namespace spsta {
 namespace {
 
 using netlist::NodeId;
-
-TEST(IntegrationPipeline, FixpointStatsImproveMcAgreement) {
-  // Run MC with the *converged* FF statistics; the four-value propagation
-  // under the same statistics should match MC tightly (both now use the
-  // same, self-consistent inputs).
-  const netlist::Netlist n = netlist::make_paper_circuit("s298");
-  core::SequentialConfig cfg;
-  cfg.damping = 0.7;
-  // s298's register loops mix slowly (residual decays ~0.999x/iter); a
-  // probability-scale tolerance converges in a few thousand iterations.
-  cfg.max_iterations = 6000;
-  cfg.tolerance = 2e-5;
-  const core::SequentialResult fix = core::solve_sequential_fixpoint(n, cfg);
-  ASSERT_TRUE(fix.converged);
-
-  const netlist::DelayModel d = netlist::DelayModel::unit(n);
-  mc::MonteCarloConfig mc_cfg;
-  mc_cfg.runs = 20000;
-  mc_cfg.seed = 9;
-  const mc::MonteCarloResult mcr = mc::run_monte_carlo(n, d, fix.source_stats, mc_cfg);
-
-  double err = 0.0;
-  std::size_t count = 0;
-  for (NodeId id = 0; id < n.node_count(); ++id) {
-    if (!netlist::is_combinational(n.node(id).type)) continue;
-    err += std::abs(fix.node_probs[id].final_one() - mcr.node[id].probs().final_one());
-    ++count;
-  }
-  EXPECT_LT(err / static_cast<double>(count), 0.05);
-}
 
 TEST(IntegrationPipeline, YieldCurveTracksMcOnSuiteCircuit) {
   const netlist::Netlist n = netlist::make_paper_circuit("s344");
@@ -82,47 +49,6 @@ TEST(IntegrationPipeline, YieldCurveTracksMcOnSuiteCircuit) {
   // Both saturate at 1 for generous periods.
   EXPECT_NEAR(core::timing_yield(n, spsta, 40.0), 1.0, 1e-6);
   EXPECT_NEAR(mcr.empirical_yield(40.0), 1.0, 1e-9);
-}
-
-TEST(IntegrationPipeline, CriticalityRankingMatchesMc) {
-  // The endpoints MC most often finds critical should rank high in the
-  // SPSTA criticality distribution (correlation between the two rankings,
-  // not exact equality — endpoint independence is approximate).
-  const netlist::Netlist n = netlist::make_paper_circuit("s526");
-  const netlist::DelayModel d = netlist::DelayModel::unit(n);
-  const std::vector<netlist::SourceStats> sc{netlist::scenario_I()};
-
-  core::SpstaOptions opt;
-  opt.grid_dt = 0.05;
-  const core::SpstaNumericResult spsta = core::run_spsta_numeric(n, d, sc, opt);
-  const core::CriticalityResult crit = core::endpoint_criticality(n, spsta);
-
-  mc::MonteCarloConfig cfg;
-  cfg.runs = 30000;
-  cfg.seed = 5;
-  cfg.track_circuit_max = true;
-  const mc::MonteCarloResult mcr = mc::run_monte_carlo(n, d, sc, cfg);
-
-  // Quiet-cycle probability agrees.
-  EXPECT_NEAR(crit.quiet_probability,
-              static_cast<double>(mcr.quiet_runs) / cfg.runs, 0.05);
-
-  // The MC-most-critical endpoint is within the top 3 by SPSTA.
-  NodeId mc_top = crit.endpoints.front();
-  for (NodeId ep : crit.endpoints) {
-    if (mcr.critical_count[ep] > mcr.critical_count[mc_top]) mc_top = ep;
-  }
-  std::vector<std::size_t> order(crit.endpoints.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return crit.probability[x] > crit.probability[y];
-  });
-  bool in_top3 = false;
-  for (std::size_t rank = 0; rank < std::min<std::size_t>(3, order.size()); ++rank) {
-    if (crit.endpoints[order[rank]] == mc_top) in_top3 = true;
-  }
-  EXPECT_TRUE(in_top3) << "MC-critical endpoint " << n.node(mc_top).name
-                       << " not in SPSTA top-3";
 }
 
 TEST(IntegrationPipeline, ScenarioSweepKeepsInvariants) {

@@ -216,7 +216,6 @@ MonteCarloResult reference_monte_carlo(const netlist::Netlist& design,
 
   MonteCarloResult result;
   result.node.resize(node_count);
-  result.critical_count.assign(node_count, 0);
   result.runs = config.runs;
   if (config.histogram_node) {
     result.histogram.emplace(config.histogram_lo, config.histogram_hi,
@@ -226,7 +225,6 @@ MonteCarloResult reference_monte_carlo(const netlist::Netlist& design,
   for (std::uint64_t first = 0; first < config.runs; first += chunk_runs) {
     MonteCarloResult part;
     part.node.resize(node_count);
-    part.critical_count.assign(node_count, 0);
     if (config.histogram_node) {
       part.histogram.emplace(config.histogram_lo, config.histogram_hi,
                              config.histogram_bins);
@@ -271,20 +269,15 @@ MonteCarloResult reference_monte_carlo(const netlist::Netlist& design,
       if (config.track_circuit_max) {
         bool any = false;
         double latest = 0.0;
-        NodeId latest_ep = 0;
         for (NodeId ep : endpoints) {
           const netlist::FourValue v = value[ep].value;
           if (v != netlist::FourValue::Rise && v != netlist::FourValue::Fall) continue;
-          if (!any || value[ep].time > latest) {
-            latest = value[ep].time;
-            latest_ep = ep;
-          }
+          if (!any || value[ep].time > latest) latest = value[ep].time;
           any = true;
         }
         if (any) {
           part.circuit_max.add(latest);
           part.circuit_max_samples.push_back(latest);
-          ++part.critical_count[latest_ep];
         } else {
           ++part.quiet_runs;
         }
@@ -296,7 +289,6 @@ MonteCarloResult reference_monte_carlo(const netlist::Netlist& design,
       est.raw_edges += part.node[id].raw_edges;
       est.rise_time.merge(part.node[id].rise_time);
       est.fall_time.merge(part.node[id].fall_time);
-      result.critical_count[id] += part.critical_count[id];
     }
     result.glitching_gates += part.glitching_gates;
     if (result.histogram) result.histogram->merge(*part.histogram);
@@ -345,7 +337,6 @@ void expect_bitwise_equal(const MonteCarloResult& want, const MonteCarloResult& 
   ASSERT_EQ(want.circuit_max_samples.size(), got.circuit_max_samples.size());
   EXPECT_TRUE(std::equal(want.circuit_max_samples.begin(), want.circuit_max_samples.end(),
                          got.circuit_max_samples.begin(), same_bits<double>));
-  EXPECT_EQ(want.critical_count, got.critical_count);
 }
 
 /// Runs the engine at 1, 2 and 8 threads and compares each with the

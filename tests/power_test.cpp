@@ -12,6 +12,7 @@
 #include "netlist/delay_model.hpp"
 #include "netlist/iscas89.hpp"
 #include "netlist/levelize.hpp"
+#include "sigprob/boolean_difference.hpp"
 
 namespace spsta::power {
 namespace {
@@ -23,29 +24,29 @@ using netlist::NodeId;
 TEST(BooleanDifference, PerGateFormulas) {
   const std::vector<double> p{0.3, 0.5};
   // d(AND)/dx_i = product of the other inputs' one-probabilities.
-  const auto and_diff = boolean_difference_probabilities(GateType::And, p);
+  const auto and_diff = sigprob::boolean_difference_probabilities(GateType::And, p);
   EXPECT_NEAR(and_diff[0], 0.5, 1e-12);
   EXPECT_NEAR(and_diff[1], 0.3, 1e-12);
   // NAND sensitization is identical to AND.
-  const auto nand_diff = boolean_difference_probabilities(GateType::Nand, p);
+  const auto nand_diff = sigprob::boolean_difference_probabilities(GateType::Nand, p);
   EXPECT_NEAR(nand_diff[0], 0.5, 1e-12);
   // OR: product of the other inputs' zero-probabilities.
-  const auto or_diff = boolean_difference_probabilities(GateType::Or, p);
+  const auto or_diff = sigprob::boolean_difference_probabilities(GateType::Or, p);
   EXPECT_NEAR(or_diff[0], 0.5, 1e-12);
   EXPECT_NEAR(or_diff[1], 0.7, 1e-12);
   // XOR always sensitizes.
-  const auto xor_diff = boolean_difference_probabilities(GateType::Xor, p);
+  const auto xor_diff = sigprob::boolean_difference_probabilities(GateType::Xor, p);
   EXPECT_NEAR(xor_diff[0], 1.0, 1e-12);
   EXPECT_NEAR(xor_diff[1], 1.0, 1e-12);
   // Inverters pass everything through.
   const auto not_diff =
-      boolean_difference_probabilities(GateType::Not, std::vector<double>{0.3});
+      sigprob::boolean_difference_probabilities(GateType::Not, std::vector<double>{0.3});
   EXPECT_NEAR(not_diff[0], 1.0, 1e-12);
 }
 
 TEST(BooleanDifference, ThreeInputAnd) {
   const std::vector<double> p{0.5, 0.4, 0.8};
-  const auto diff = boolean_difference_probabilities(GateType::And, p);
+  const auto diff = sigprob::boolean_difference_probabilities(GateType::And, p);
   EXPECT_NEAR(diff[0], 0.32, 1e-12);
   EXPECT_NEAR(diff[1], 0.40, 1e-12);
   EXPECT_NEAR(diff[2], 0.20, 1e-12);
